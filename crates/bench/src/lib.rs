@@ -56,34 +56,37 @@ impl Cli {
         };
         let mut i = 1;
         while i < args.len() {
-            match args[i].as_str() {
-                "--reps" => {
-                    cli.reps = args[i + 1].parse().expect("--reps N");
+            match (args[i].as_str(), args.get(i + 1)) {
+                ("--reps", Some(value)) => {
+                    cli.reps = value.parse().expect("--reps N");
                     i += 1;
                 }
-                "--queries" => {
-                    cli.queries = args[i + 1].parse().expect("--queries N");
+                ("--queries", Some(value)) => {
+                    cli.queries = value.parse().expect("--queries N");
                     i += 1;
                 }
-                "--seed" => {
-                    cli.seed = args[i + 1].parse().expect("--seed N");
+                ("--seed", Some(value)) => {
+                    cli.seed = value.parse().expect("--seed N");
                     i += 1;
                 }
-                "--scale" => {
-                    cli.scale = args[i + 1].parse().expect("--scale F");
+                ("--scale", Some(value)) => {
+                    cli.scale = value.parse().expect("--scale F");
                     i += 1;
                 }
-                "--quick" => {
+                (flag @ ("--reps" | "--queries" | "--seed" | "--scale"), None) => {
+                    eprintln!("warning: flag {flag} has no value; keeping its default");
+                }
+                ("--quick", _) => {
                     cli.reps = 1;
                     cli.queries = 200;
                     cli.scale = 0.05;
                 }
-                "--full" => {
+                ("--full", _) => {
                     cli.reps = 20;
                     cli.queries = 10_000;
                     cli.scale = 1.0;
                 }
-                other => {
+                (other, _) => {
                     eprintln!("warning: unknown flag {other}");
                 }
             }
@@ -266,10 +269,13 @@ mod tests {
 
     #[test]
     fn cli_defaults() {
-        let cli = Cli::parse_from(&args(&[]));
-        assert_eq!(cli.reps, 3);
-        assert_eq!(cli.queries, 1000);
-        assert_eq!(cli.scale, 1.0);
+        // a value flag passed last warns and keeps its default
+        for list in [&[][..], &["--reps"], &["--scale"]] {
+            let cli = Cli::parse_from(&args(list));
+            assert_eq!(cli.reps, 3);
+            assert_eq!(cli.queries, 1000);
+            assert_eq!(cli.scale, 1.0);
+        }
     }
 
     #[test]

@@ -5,33 +5,49 @@
 //! serves millions of range-count queries. Both sides decompose into
 //! *pure, independent* tasks whose results only need to come back in
 //! input order — so parallelism must never change a single bit of output.
-//! [`WorkerPool`] provides exactly that contract:
+//! [`WorkerPool`] provides exactly that contract as a fork-join:
 //!
-//! * a **fixed set of worker threads** spawned once and fed over a
-//!   channel (no per-level `std::thread::scope` spawning — thread startup
-//!   used to dominate shallow levels and kept the `parallel` feature off
-//!   by default);
-//! * **chunked tasks**: a batch of items is cut into contiguous chunks
+//! * **chunked tasks**: a dispatch cuts its items into contiguous chunks
 //!   (optionally balanced by a caller-supplied weight, e.g. points per
-//!   segment or queries per slice) so per-task channel overhead is
-//!   amortized;
-//! * **ordered collection**: every chunk reports `(chunk_index, results)`
-//!   and the caller reassembles the output by index, so the returned
-//!   `Vec` is identical — bitwise — to what a sequential loop produces,
-//!   regardless of worker count or scheduling. Randomness never enters a
-//!   pooled task: Laplace draws stay sequential arena-order passes in the
-//!   builders.
+//!   segment or queries per slice);
+//! * **the dispatching thread computes**: it posts the chunk set, then
+//!   claims and runs chunks itself next to the pool's helper threads,
+//!   which are spawned once per pool (no per-level `std::thread::scope`
+//!   spawning). Every thread claims its next chunk through one atomic
+//!   index, so whatever no helper has claimed the caller runs: a dispatch
+//!   only ever waits for chunks another thread is already running. That
+//!   keeps concurrent callers of the shared pool (the serving reactor and
+//!   an in-process publisher's PrivTree builds) moving even while every
+//!   helper is busy with someone else's chunks;
+//! * **ordered collection**: chunk `i`'s output lands in slot `i`,
+//!   whichever thread ran it, and the caller concatenates the slots, so
+//!   the returned `Vec` is identical — bitwise — to what a sequential loop
+//!   produces, regardless of worker count or scheduling. Randomness never
+//!   enters a pooled task: Laplace draws stay sequential arena-order
+//!   passes in the builders;
+//! * **spin, then park**: a helper that runs out of chunks, and a caller
+//!   waiting for the last chunk a helper is still running, keep yielding
+//!   the core for a fixed 100 µs before they park. Dispatches that follow
+//!   each other within that window (a busy server's request gap) find the
+//!   helpers awake instead of paying a futex wake-up each. The price is
+//!   CPU: after every dispatch each helper stays runnable for up to
+//!   100 µs, and on a loaded machine that time is taken from other
+//!   threads only when they have nothing better to run, since every spin
+//!   iteration yields.
 //!
-//! The pool is shared process-wide through [`global`] (sized from
-//! `PRIVTREE_POOL_WORKERS` or the machine's parallelism); benches and
-//! tests construct private pools with [`WorkerPool::new`] to compare
-//! worker counts explicitly.
+//! The pool is shared process-wide through [`global`], sized from
+//! `PRIVTREE_POOL_WORKERS` or the machine's parallelism. Either way the
+//! number counts the threads that compute a dispatch, the caller
+//! included: `PRIVTREE_POOL_WORKERS=N` spawns `N − 1` helpers, so a
+//! 2-core machine runs one. Benches and tests construct private pools
+//! with [`WorkerPool::new`] to compare worker counts explicitly.
 //!
 //! Scoped borrows: tasks may capture non-`'static` references (the point
 //! permutation's sub-slices, a borrowed synopsis). [`WorkerPool`] makes
-//! this sound the same way scoped thread pools do — every dispatch blocks
-//! until all of its chunks have reported back (even on panic, which is
-//! re-raised in the caller), so no borrow outlives the call.
+//! this sound the same way scoped thread pools do — a dispatch returns or
+//! unwinds only after every one of its chunks has finished (a panic in
+//! any chunk, on any thread, is re-raised in the caller then), so no
+//! borrow outlives the call.
 
 pub mod coalesce;
 pub mod failpoints;
@@ -42,11 +58,14 @@ pub mod telemetry;
 pub use coalesce::Coalescer;
 pub use shutdown::{install_termination_handler, ShutdownSignal};
 
+use std::any::Any;
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::thread::{self, JoinHandle, Thread};
+use std::time::{Duration, Instant};
 
 /// A shared slot holding an `Arc<T>` that readers load cheaply and
 /// writers replace atomically — the publication primitive for
@@ -97,26 +116,158 @@ impl<T: std::fmt::Debug> std::fmt::Debug for ArcCell<T> {
     }
 }
 
-/// A type-erased unit of work shipped to a worker thread.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
 thread_local! {
-    /// True on pool worker threads. A task already running on a pool must
-    /// not dispatch to one (its own or another): it would block waiting on
-    /// sub-jobs while occupying the very worker that could drain them — a
-    /// deadlock once every worker waits. Nested dispatches therefore run
-    /// inline, which is always safe (and bit-identical by contract).
+    /// True on pool helper threads. A dispatch made from a chunk a helper
+    /// runs goes inline: the pool's other threads are busy with the outer
+    /// dispatch, so posting would add the hand-off and no parallelism.
     static IN_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Fixed worker threads fed by one shared channel.
+/// How long an idle helper, or a caller waiting for a helper's chunk,
+/// keeps yielding the core before it parks: about one request gap of a
+/// busy server, so back-to-back dispatches find the helpers awake.
+const SPIN: Duration = Duration::from_micros(100);
+
+/// A fork-join pool: each dispatch runs on its caller plus
+/// `workers - 1` helper threads spawned once.
 ///
 /// See the crate docs for the determinism contract. Dropping the pool
-/// closes the channel and joins every worker.
+/// stops and joins every helper.
 pub struct WorkerPool {
-    sender: Option<Sender<Job>>,
+    shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
     workers: usize,
+}
+
+/// What callers and helpers share: the posted tasks, oldest first.
+struct Shared {
+    state: Mutex<State>,
+    /// Signalled when a task is posted or the pool shuts down.
+    wake: Condvar,
+    /// `state.tasks.len()`, readable without the lock so spinning helpers
+    /// notice a post. It publishes nothing (the task itself is taken
+    /// under the lock), so `Relaxed` suffices.
+    queued: AtomicUsize,
+}
+
+struct State {
+    /// Posted tasks that may still have unclaimed chunks.
+    tasks: VecDeque<Arc<Task>>,
+    /// Helpers waiting on `Shared::wake`.
+    parked: usize,
+    shutdown: bool,
+}
+
+/// One dispatch: `job(i)` for every chunk `i` in `0..chunks`.
+struct Task {
+    /// The caller's per-chunk closure, its lifetime erased (see
+    /// [`WorkerPool::fork_join`]).
+    job: &'static (dyn Fn(usize) + Sync),
+    chunks: usize,
+    /// The next unclaimed chunk. A claim publishes nothing (the task
+    /// reached every thread through the `Shared` lock), so `Relaxed`.
+    next: AtomicUsize,
+    /// Chunks finished. Each finisher's `Release` increment pairs with
+    /// the caller's `Acquire` load in [`Task::wait`], so the caller sees
+    /// every chunk's writes.
+    done: AtomicUsize,
+    /// The first panic a chunk raised.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// The dispatching thread, unparked by whoever finishes the last chunk.
+    caller: Thread,
+}
+
+/// Lock `mutex`, ignoring poison: no pool lock is held across a chunk or
+/// any other code that can panic, so every update is whole.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Task {
+    /// Claim and run chunks until every chunk is claimed. A panicking
+    /// chunk is recorded and still counts as finished.
+    fn run_chunks(&self) {
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.chunks {
+                return;
+            }
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.job)(i))) {
+                lock(&self.panic).get_or_insert(payload);
+            }
+            // `job` is not touched past this point: once the count is
+            // complete the caller may return and end its borrows
+            if self.done.fetch_add(1, Ordering::Release) + 1 == self.chunks {
+                self.caller.unpark();
+            }
+        }
+    }
+
+    /// On the caller: return once every chunk has finished, yielding the
+    /// core for [`SPIN`] and then parking.
+    fn wait(&self) {
+        let start = Instant::now();
+        while self.done.load(Ordering::Acquire) < self.chunks {
+            if start.elapsed() < SPIN {
+                thread::yield_now();
+            } else {
+                thread::park();
+            }
+        }
+    }
+}
+
+impl Shared {
+    /// Queue `task` and wake parked helpers, at most one per chunk the
+    /// caller leaves to them.
+    fn post(&self, task: &Arc<Task>) {
+        let mut state = lock(&self.state);
+        state.tasks.push_back(Arc::clone(task));
+        self.queued.store(state.tasks.len(), Ordering::Relaxed);
+        for _ in 0..state.parked.min(task.chunks - 1) {
+            self.wake.notify_one();
+        }
+    }
+
+    /// Unqueue `task`, whose chunks are all claimed.
+    fn retire(&self, task: &Arc<Task>) {
+        let mut state = lock(&self.state);
+        state.tasks.retain(|queued| !Arc::ptr_eq(queued, task));
+        self.queued.store(state.tasks.len(), Ordering::Relaxed);
+    }
+
+    /// The oldest queued task, or `None` once the pool shuts down. While
+    /// nothing is queued, yield the core for [`SPIN`], then park.
+    fn next_task(&self) -> Option<Arc<Task>> {
+        let start = Instant::now();
+        while self.queued.load(Ordering::Relaxed) == 0 && start.elapsed() < SPIN {
+            thread::yield_now();
+        }
+        let mut state = lock(&self.state);
+        loop {
+            if state.shutdown {
+                return None;
+            }
+            if let Some(task) = state.tasks.front() {
+                return Some(Arc::clone(task));
+            }
+            state.parked += 1;
+            state = self
+                .wake
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            state.parked -= 1;
+        }
+    }
+}
+
+/// A helper thread's life: join whichever dispatch is oldest.
+fn helper(shared: &Shared) {
+    IN_POOL_WORKER.set(true);
+    while let Some(task) = shared.next_task() {
+        task.run_chunks();
+        shared.retire(&task);
+    }
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -128,54 +279,43 @@ impl std::fmt::Debug for WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawn a pool of `workers` threads (clamped to at least 1).
+    /// A pool in which `workers` threads (clamped to at least 1) compute
+    /// each dispatch: the dispatching thread plus `workers - 1` helpers,
+    /// spawned now.
     ///
     /// A 1-worker pool never spawns: dispatches run inline on the caller,
     /// which keeps single-core machines and `--no-default-features`-style
     /// comparisons free of thread overhead.
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
-        if workers == 1 {
-            return Self {
-                sender: None,
-                handles: Vec::new(),
-                workers,
-            };
-        }
-        let (sender, receiver) = channel::<Job>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        let handles = (0..workers)
+        let shared = Arc::new(Shared {
+            state: Mutex::new(State {
+                tasks: VecDeque::new(),
+                parked: 0,
+                shutdown: false,
+            }),
+            wake: Condvar::new(),
+            queued: AtomicUsize::new(0),
+        });
+        let handles = (1..workers)
             .map(|i| {
-                let receiver = Arc::clone(&receiver);
-                std::thread::Builder::new()
+                let shared = Arc::clone(&shared);
+                thread::Builder::new()
                     .name(format!("privtree-worker-{i}"))
-                    .spawn(move || {
-                        IN_POOL_WORKER.set(true);
-                        loop {
-                            // hold the lock only while dequeuing, not
-                            // while running the job
-                            let job = match receiver.lock() {
-                                Ok(rx) => rx.recv(),
-                                Err(_) => break, // a job panicked mid-recv
-                            };
-                            match job {
-                                Ok(job) => job(),
-                                Err(_) => break, // pool dropped
-                            }
-                        }
-                    })
-                    .expect("failed to spawn pool worker")
+                    .spawn(move || helper(&shared))
+                    .expect("failed to spawn pool helper")
             })
             .collect();
         Self {
-            sender: Some(sender),
+            shared,
             handles,
             workers,
         }
     }
 
     /// Pool sized for this machine: `PRIVTREE_POOL_WORKERS` if set,
-    /// otherwise `std::thread::available_parallelism()`.
+    /// otherwise `std::thread::available_parallelism()`. The number
+    /// counts the dispatching thread, so `N` spawns `N - 1` helpers.
     pub fn for_machine() -> Self {
         let workers = std::env::var("PRIVTREE_POOL_WORKERS")
             .ok()
@@ -188,7 +328,7 @@ impl WorkerPool {
         Self::new(workers)
     }
 
-    /// Number of worker threads.
+    /// Number of threads that compute a dispatch, the caller included.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -219,63 +359,26 @@ impl WorkerPool {
         T: Send,
         R: Send,
     {
-        let n = items.len();
-        if self.workers <= 1 || n <= 1 || IN_POOL_WORKER.get() {
+        if self.workers <= 1 || items.len() <= 1 || IN_POOL_WORKER.get() {
             return items.into_iter().map(f).collect();
         }
 
         // cut [0, n) into contiguous weight-balanced chunks; mild
-        // oversubscription lets fast workers take a second helping
+        // oversubscription lets fast threads take a second helping
         let weights: Vec<usize> = items.iter().map(&weight).collect();
         let ranges = weighted_ranges(&weights, self.workers * 2);
-        if ranges.len() <= 1 {
-            return items.into_iter().map(f).collect();
-        }
 
-        // carve the items into owned chunks, preserving order
-        let mut chunks: Vec<(usize, Vec<T>)> = Vec::with_capacity(ranges.len());
+        // carve the items into owned chunks, preserving order; the one
+        // thread that claims chunk `i` takes its items
         let mut items = items.into_iter();
-        for (idx, r) in ranges.iter().enumerate() {
-            chunks.push((idx, items.by_ref().take(r.len()).collect()));
-        }
-
-        let (result_tx, result_rx) = channel::<(usize, std::thread::Result<Vec<R>>)>();
-        let f = &f;
-        let n_chunks = chunks.len();
-        for (idx, chunk) in chunks {
-            let result_tx = result_tx.clone();
-            self.submit(Box::new(move || {
-                let out = catch_unwind(AssertUnwindSafe(|| {
-                    chunk.into_iter().map(f).collect::<Vec<R>>()
-                }));
-                // the caller always outlives this send: it blocks on
-                // receiving exactly n_chunks reports
-                let _ = result_tx.send((idx, out));
-            }));
-        }
-        drop(result_tx);
-
-        let mut slots: Vec<Option<Vec<R>>> = (0..n_chunks).map(|_| None).collect();
-        let mut panic = None;
-        for _ in 0..n_chunks {
-            let (idx, out) = result_rx
-                .recv()
-                .expect("worker pool disconnected mid-dispatch");
-            match out {
-                Ok(results) => slots[idx] = Some(results),
-                Err(payload) => panic = Some(payload),
-            }
-        }
-        // only re-raise once every chunk has reported: no task may still
-        // borrow the caller's data after this function returns
-        if let Some(payload) = panic {
-            resume_unwind(payload);
-        }
-        let mut out = Vec::with_capacity(n);
-        for slot in slots {
-            out.extend(slot.expect("every chunk reports exactly once"));
-        }
-        out
+        let chunks: Vec<Mutex<Option<Vec<T>>>> = ranges
+            .iter()
+            .map(|r| Mutex::new(Some(items.by_ref().take(r.len()).collect())))
+            .collect();
+        concat(self.collect(chunks.len(), |i| {
+            let chunk = lock(&chunks[i]).take().expect("each chunk runs once");
+            chunk.into_iter().map(&f).collect()
+        }))
     }
 
     /// Map `f` over shared references, in input order. Convenience for
@@ -289,12 +392,13 @@ impl WorkerPool {
     }
 
     /// Cut `[0, len)` into at most `max_chunks` contiguous ranges, run `f`
-    /// on each range (one pool task per range), and concatenate the
+    /// on each range (one pool chunk per range), and concatenate the
     /// per-range outputs in range order. The one copy of the
     /// "chunk an index space, fan out, flatten ordered" pattern used by
-    /// grid-cell precomputation and the baselines' histogram pass; for
-    /// pure `f` the result is bit-identical to `f(0..len)` for every
-    /// worker count. Runs `f(0..len)` inline when chunking cannot help.
+    /// batch answering, grid-cell precomputation and the baselines'
+    /// histogram pass; for pure `f` the result is bit-identical to
+    /// `f(0..len)` for every worker count. Runs `f(0..len)` inline when
+    /// chunking cannot help.
     pub fn map_chunks<R: Send>(
         &self,
         len: usize,
@@ -305,34 +409,84 @@ impl WorkerPool {
         if self.workers <= 1 || ranges.len() <= 1 {
             return f(0..len);
         }
-        self.map_vec(ranges, &f).into_iter().flatten().collect()
+        concat(self.collect(ranges.len(), |i| f(ranges[i].clone())))
     }
 
-    /// Ship one erased job to the workers.
-    ///
-    /// The `'scope` lifetime is transmuted away; this is sound because
-    /// every public dispatch path blocks until all of its jobs have
-    /// reported completion (see [`WorkerPool::map_vec_weighted`]), so the
-    /// borrows a job captures always outlive its execution — the same
-    /// argument scoped thread pools rely on.
-    fn submit<'scope>(&self, job: Box<dyn FnOnce() + Send + 'scope>) {
-        let job: Job =
-            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(job) };
-        self.sender
-            .as_ref()
-            .expect("submit on an inline (1-worker) pool")
-            .send(job)
-            .expect("worker pool channel closed");
+    /// `f(i)` for every chunk `i` in `0..chunks`, in chunk order.
+    fn collect<R: Send>(&self, chunks: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+        let slots: Vec<Mutex<Option<R>>> = (0..chunks).map(|_| Mutex::new(None)).collect();
+        self.fork_join(chunks, &|i| {
+            let out = f(i);
+            *lock(&slots[i]) = Some(out);
+        });
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .expect("fork_join runs every chunk")
+            })
+            .collect()
+    }
+
+    /// Run `job(i)` for every chunk `i` in `0..chunks` on this thread and
+    /// whichever helpers join, returning once every call has finished and
+    /// re-raising the first panic then. Runs inline when no helper can
+    /// join.
+    fn fork_join(&self, chunks: usize, job: &(dyn Fn(usize) + Sync)) {
+        if self.workers <= 1 || chunks <= 1 || IN_POOL_WORKER.get() {
+            (0..chunks).for_each(job);
+            return;
+        }
+        // SAFETY: only the lifetime is erased. `job` is called only by a
+        // thread that claimed an index below `chunks` from `next`, and
+        // only before that thread counts the chunk in `done`
+        // (`Task::run_chunks`). This function returns or unwinds only
+        // after `wait` has seen `done == chunks`, and nothing between
+        // `post` and the end of `wait` can unwind: chunk panics are
+        // caught in `run_chunks` and the locks ignore poison. A helper
+        // that reaches the task later finds every index claimed and
+        // touches only the counters of its own `Arc<Task>`, never `job`.
+        let job = unsafe {
+            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(job)
+        };
+        let task = Arc::new(Task {
+            job,
+            chunks,
+            next: AtomicUsize::new(0),
+            done: AtomicUsize::new(0),
+            panic: Mutex::new(None),
+            caller: thread::current(),
+        });
+        self.shared.post(&task);
+        task.run_chunks();
+        self.shared.retire(&task);
+        task.wait();
+        let panic = lock(&task.panic).take();
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        drop(self.sender.take()); // workers see Err(RecvError) and exit
+        // `&mut self`: no dispatch is in flight, so the queue is empty
+        lock(&self.shared.state).shutdown = true;
+        self.shared.wake.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
     }
+}
+
+/// Concatenate per-chunk outputs in chunk order.
+fn concat<R>(parts: Vec<Vec<R>>) -> Vec<R> {
+    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for part in parts {
+        out.extend(part);
+    }
+    out
 }
 
 /// The process-wide pool, created on first use via
@@ -485,6 +639,111 @@ mod tests {
         // the pool remains usable after a propagated panic
         let ok = pool.map_vec(vec![1, 2, 3], |x| x + 1);
         assert_eq!(ok, vec![2, 3, 4]);
+    }
+
+    /// Generous bound on any wait in the tests below that only a bug
+    /// could exhaust; it turns a deadlock into a failure.
+    const STUCK: Duration = Duration::from_secs(20);
+
+    #[test]
+    fn concurrent_dispatches_make_progress() {
+        use std::sync::mpsc::channel;
+        let pool = WorkerPool::new(2);
+        let (started_tx, started_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        let (b_tx, b_rx) = channel();
+        thread::scope(|s| {
+            // A: two chunks, so both of the pool's threads (A itself and
+            // the helper) run one, each blocking until B has returned
+            let a = s.spawn(|| {
+                pool.map_vec(vec![1u32, 2], |x| {
+                    started_tx.send(()).expect("test alive");
+                    // a chunk ends on the release (or its sender being
+                    // dropped), or after STUCK if B never returns
+                    let _ = lock(&release_rx).recv_timeout(STUCK);
+                    x * 10
+                })
+            });
+            for _ in 0..2 {
+                started_rx.recv_timeout(STUCK).expect("A's chunks start");
+            }
+            // B dispatches on the same pool while every pool thread is
+            // busy with A: its caller must run its chunks itself
+            s.spawn(|| {
+                let got = pool.map_vec((0..64u32).collect(), |x| x + 1);
+                b_tx.send(got).expect("test alive");
+            });
+            let b = b_rx.recv_timeout(Duration::from_secs(5));
+            drop(release_tx);
+            assert_eq!(
+                b.expect("B waited on chunks no thread had claimed"),
+                (1..65).collect::<Vec<u32>>()
+            );
+            assert_eq!(a.join().expect("A returns"), vec![10, 20]);
+        });
+
+        // four callers at once, each getting exactly the sequential loop
+        let go = std::sync::Barrier::new(4);
+        thread::scope(|s| {
+            let callers: Vec<_> = (0..4u64)
+                .map(|c| {
+                    let (pool, go) = (&pool, &go);
+                    s.spawn(move || {
+                        let items: Vec<u64> = (0..1000).map(|x| x * 7 + c).collect();
+                        go.wait();
+                        let got = pool.map_vec(items.clone(), |x| x * x + c);
+                        let expected: Vec<u64> = items.into_iter().map(|x| x * x + c).collect();
+                        assert_eq!(got, expected, "caller {c}");
+                    })
+                })
+                .collect();
+            for caller in callers {
+                caller.join().expect("caller succeeds");
+            }
+        });
+    }
+
+    #[test]
+    fn caller_panic_surfaces_after_the_helpers_chunk_finishes() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::mpsc::channel;
+        let pool = WorkerPool::new(2);
+        let data: Vec<u64> = (0..100_000).collect();
+        let helper_finished = AtomicBool::new(false);
+        let (caller_tx, caller_rx) = channel();
+        let (helper_tx, helper_rx) = channel();
+        let (caller_rx, helper_rx) = (Mutex::new(caller_rx), Mutex::new(helper_rx));
+        let caller = thread::current().id();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            // two chunks that each wait for the other to start, so the
+            // caller and the helper run one each
+            pool.map_vec(vec![0usize, 1], |_| {
+                if thread::current().id() == caller {
+                    caller_tx.send(()).expect("test alive");
+                    lock(&helper_rx)
+                        .recv_timeout(STUCK)
+                        .expect("the helper's chunk starts");
+                    panic!("caller chunk fails");
+                }
+                helper_tx.send(()).expect("test alive");
+                lock(&caller_rx)
+                    .recv_timeout(STUCK)
+                    .expect("the caller's chunk starts");
+                // keep reading the caller's borrowed data well past the
+                // caller's panic
+                thread::sleep(Duration::from_millis(50));
+                let sum: u64 = data.iter().sum();
+                helper_finished.store(sum == 4_999_950_000, Ordering::SeqCst);
+                0
+            })
+        }));
+        assert!(result.is_err(), "the caller's panic surfaces");
+        assert!(
+            helper_finished.load(Ordering::SeqCst),
+            "the panic surfaced before the helper's chunk finished"
+        );
+        assert_eq!(pool.map_vec(vec![1, 2, 3], |x| x + 1), vec![2, 3, 4]);
     }
 
     #[test]

@@ -66,12 +66,14 @@ pub(crate) fn with_query_scratch<R>(f: impl FnOnce(&mut Vec<u32>, &mut Vec<u32>)
     out
 }
 
-/// The one copy of the pooled batch-dispatch policy, shared by the frozen
-/// and sharded engines: cut the workload into `workers*2` contiguous
-/// ranges (one pool task each, mild oversubscription against query skew)
-/// and answer each chunk with `answer_chunk`, which sets up its own
-/// per-chunk traversal scratch. Falls back to one chunk on the caller
-/// when the pool cannot help. Ordered collection keeps the output
+/// The one copy of the pooled batch-dispatch policy, shared by the frozen,
+/// grid-routed and sharded engines: cut the workload into two contiguous
+/// ranges per computing thread (the caller counts as one) and answer each
+/// chunk with `answer_chunk`, which sets up its own per-chunk traversal
+/// scratch. The caller starts on the first range at once and helpers
+/// claim the rest as they come free, so threads that finish early take
+/// the ranges left behind a slow one. Falls back to one chunk on the
+/// caller when the pool cannot help. Ordered collection keeps the output
 /// bit-identical to `answer_chunk(queries)` for every worker count.
 pub(crate) fn dispatch_batch(
     queries: &[RangeQuery],
