@@ -2,7 +2,7 @@
 //! 10,000-query workloads through every read engine — the plain frozen
 //! traversal (single-threaded and pool-chunked), the sharded re-layout,
 //! and the grid-routed accelerator (summed-area interior + cell-anchored
-//! boundary shell, with and without Morton batch reordering). Verifies
+//! boundary shell). Verifies
 //! the equality contracts between configurations and writes a
 //! machine-readable summary to `BENCH_serve.json` (including the
 //! machine's core count — pool speedups are bounded by physical
@@ -135,11 +135,6 @@ fn bench_serve(c: &mut Criterion) {
         assert!((a - b).abs() <= tol, "grid_routed vs frozen: {a} vs {b}");
     }
     assert_bits_equal(
-        "grid_morton",
-        &grid_medium,
-        &grid.answer_batch_morton(&medium),
-    );
-    assert_bits_equal(
         "grid_pool8",
         &grid_medium,
         &grid.answer_batch_with_pool(&medium, &pool8),
@@ -150,9 +145,6 @@ fn bench_serve(c: &mut Criterion) {
     });
     c.bench_function("serve_grid_routed_medium", |b| {
         b.iter(|| black_box(grid.answer_batch_sequential(&medium)))
-    });
-    c.bench_function("serve_grid_routed_morton_medium", |b| {
-        b.iter(|| black_box(grid.answer_batch_morton(&medium)))
     });
     c.bench_function("serve_frozen_pool8_medium", |b| {
         b.iter(|| black_box(frozen.answer_batch_with_pool(&medium, &pool8)))
@@ -165,7 +157,6 @@ fn bench_serve(c: &mut Criterion) {
     let mut workload_json = String::new();
     let mut medium_frozen_qps = 0.0;
     let mut medium_grid_qps = 0.0;
-    let mut medium_grid_morton_qps = 0.0;
     for size in QuerySize::all() {
         let queries = range_queries(&domain, size, per_workload, 7);
         let frozen_ref = frozen.answer_batch_sequential(&queries);
@@ -176,26 +167,22 @@ fn bench_serve(c: &mut Criterion) {
         }
         let t_frozen = best_secs(samples, || frozen.answer_batch_sequential(&queries));
         let t_grid = best_secs(samples, || grid.answer_batch_sequential(&queries));
-        let t_morton = best_secs(samples, || grid.answer_batch_morton(&queries));
         let n = queries.len() as f64;
         if size == QuerySize::Medium {
             medium_frozen_qps = n / t_frozen;
             medium_grid_qps = n / t_grid;
-            medium_grid_morton_qps = n / t_morton;
         }
         workload_json.push_str(&format!(
             concat!(
                 "    \"{}\": {{\n",
                 "      \"frozen_seq_qps\": {:.1},\n",
                 "      \"grid_routed_qps\": {:.1},\n",
-                "      \"grid_routed_morton_qps\": {:.1},\n",
                 "      \"grid_speedup\": {:.3}\n",
                 "    }}{}\n"
             ),
             size.name(),
             n / t_frozen,
             n / t_grid,
-            n / t_morton,
             t_frozen / t_grid,
             if size == QuerySize::Large { "" } else { "," },
         ));
@@ -608,8 +595,8 @@ fn bench_serve(c: &mut Criterion) {
     let coalesced_spans = stat("coalesced_spans");
     let spans_per_dispatch = coalesced_spans / coalesced_dispatches.max(1.0);
 
-    // the same sweep against a fully-guarded listener — read and write
-    // deadlines armed, connection cap enforced — then a graceful drain;
+    // the same sweep against a fully-guarded listener — idle deadline
+    // armed, connection cap enforced — then a graceful drain;
     // the lifecycle guards must cost <2% qps on the hot path
     let hard_store = ReleaseStore::open_gridded([("gowalla", frozen.clone())]).unwrap();
     let hard_server = spawn_tcp_with(
@@ -617,9 +604,7 @@ fn bench_serve(c: &mut Criterion) {
         "127.0.0.1:0",
         ServeOptions {
             max_conns: 64,
-            read_timeout: Some(Duration::from_secs(30)),
-            write_timeout: Some(Duration::from_secs(30)),
-            ..ServeOptions::default()
+            idle_timeout: Some(Duration::from_secs(30)),
         },
         ShutdownSignal::new(),
     )
@@ -781,8 +766,7 @@ fn bench_serve(c: &mut Criterion) {
             "    \"spans_per_dispatch\": {:.2}\n",
             "  }},\n",
             "  \"hardening\": {{\n",
-            "    \"read_timeout_secs\": 30,\n",
-            "    \"write_timeout_secs\": 30,\n",
+            "    \"idle_timeout_secs\": 30,\n",
             "    \"max_conns\": 64,\n",
             "    \"drained_within_5s\": {},\n",
             "{},\n",
@@ -799,7 +783,6 @@ fn bench_serve(c: &mut Criterion) {
             "  }},\n",
             "  \"frozen_seq_qps\": {:.1},\n",
             "  \"grid_routed_qps\": {:.1},\n",
-            "  \"grid_routed_morton_qps\": {:.1},\n",
             "  \"grid_speedup_medium\": {:.3},\n",
             "  \"frozen_pool4_qps\": {:.1},\n",
             "  \"frozen_pool8_qps\": {:.1},\n",
@@ -866,7 +849,6 @@ fn bench_serve(c: &mut Criterion) {
         stage_json,
         medium_frozen_qps,
         medium_grid_qps,
-        medium_grid_morton_qps,
         medium_grid_qps / medium_frozen_qps,
         n / p4,
         n / p8,

@@ -4,12 +4,14 @@
 //! `serialize` text format or the `privtree-store` binary format, told
 //! apart by magic sniffing; a grid section, when present, ships the
 //! precomputed cell grid so no rebuild happens at load time — into an
-//! epoch-aware [`privtree_engine::ReleaseStore`], then answers a
-//! line-protocol query workload over **stdin** (default) or a **TCP
-//! socket** (`--listen ADDR`). Batches go through the pooled /
-//! Morton-reordered grid-routed read path; epoch operations
-//! (`add`/`swap`/`retire`) rebuild only the routing arena and the
-//! touched release's grid while in-flight readers keep their snapshot.
+//! epoch-aware [`privtree_engine::ReleaseStore`], then answers a query
+//! workload over **stdin** (default) or a **TCP socket**
+//! (`--listen ADDR`). Both transports speak both protocols — the text
+//! line protocol, or `privtree-wire v1` frames after a `0xB7` first
+//! byte. Queries go through the pooled grid-routed read path; epoch
+//! operations (`add`/`swap`/`retire`) rebuild only the routing arena
+//! and the touched release's grid while in-flight readers keep their
+//! snapshot.
 //!
 //! ```text
 //! privtree-serve [--grids] [--listen ADDR] [--catalog DIR]
@@ -45,18 +47,19 @@
 //!
 //! In listen mode the process runs under lifecycle guards: at most
 //! `--max-conns` concurrent connections (excess accepts answer
-//! `err busy`), a `--read-timeout` idle deadline evicting stalled peers
-//! (0 disables it), a 64 KiB protocol line cap, and per-command panic
-//! isolation. `SIGTERM`/`SIGINT` — or EOF on stdin — start a **graceful
-//! drain**: stop accepting, finish in-flight replies, and exit once
-//! every connection closed or `--drain-timeout` passed. (An EOF that
-//! arrives instantly means stdin was never attached, e.g. `< /dev/null`
-//! under a supervisor, and is ignored.)
+//! `err busy`), a `--read-timeout` idle deadline evicting a peer that
+//! sends nothing while idle or reads none of its pending replies for
+//! that long (0 disables it), a 64 KiB protocol line cap, and
+//! per-command panic isolation. `SIGTERM`/`SIGINT` — or EOF on stdin —
+//! start a **graceful drain**: stop accepting, finish in-flight
+//! replies, and exit once every connection closed or `--drain-timeout`
+//! passed. (An EOF that arrives instantly means stdin was never
+//! attached, e.g. `< /dev/null` under a supervisor, and is ignored.)
 //!
-//! The protocol itself lives in [`privtree_engine::serve`] (one command
-//! per line; a failed command answers `err <reason>` and the connection
-//! keeps serving). See `examples/epoch_serving.rs` for an end-to-end
-//! walkthrough.
+//! The protocols themselves live in [`privtree_engine::serve`] (one text
+//! command per line; a failed command answers `err <reason>` and the
+//! connection keeps serving). See `examples/epoch_serving.rs` for an
+//! end-to-end walkthrough.
 
 use std::io::{self, Read, Write};
 use std::sync::Arc;
@@ -76,7 +79,8 @@ const USAGE: &str = "usage: privtree-serve [--grids] [--listen ADDR] [--catalog 
                      [--drain-timeout SECS] [--slow-query-log MS] <key=release>...\n\
                      releases are privtree-synopsis v1 text files or privtree-bin v1\n\
                      binary files (sniffed; an attached grid section is loaded instead\n\
-                     of rebuilt); queries arrive over stdin, or over TCP with --listen;\n\
+                     of rebuilt); queries arrive over stdin, or over TCP with --listen,\n\
+                     as text lines or privtree-wire frames on either;\n\
                      --catalog warm-starts from (and enables save/load against) an\n\
                      on-disk release catalog, quarantining damaged entries instead of\n\
                      refusing to boot; --journal (requires --catalog) makes every\n\
@@ -87,7 +91,8 @@ const USAGE: &str = "usage: privtree-serve [--grids] [--listen ADDR] [--catalog 
                      serves catalog releases zero-copy from a memory mapping, --no-mmap\n\
                      decodes them into owned buffers; --max-conns (default 1024) sheds\n\
                      excess connections with `err busy`; --read-timeout (default 30,\n\
-                     0=off) evicts peers idle that long; SIGTERM/SIGINT or stdin EOF\n\
+                     0=off) evicts a peer that sends nothing while idle, or reads none\n\
+                     of its pending replies, for that long; SIGTERM/SIGINT or stdin EOF\n\
                      drain gracefully, waiting up to --drain-timeout (default 5) for\n\
                      in-flight replies; --slow-query-log records queries slower than MS\n\
                      milliseconds in a ring the `slowlog` verb dumps (the `metrics` verb\n\
@@ -278,9 +283,8 @@ fn run() -> Result<(), String> {
         Some(addr) => {
             let opts = ServeOptions {
                 max_conns,
-                read_timeout: (read_timeout_secs > 0)
+                idle_timeout: (read_timeout_secs > 0)
                     .then(|| Duration::from_secs(read_timeout_secs)),
-                ..ServeOptions::default()
             };
             let shutdown = ShutdownSignal::new();
             // SIGTERM / SIGINT drain instead of killing mid-reply

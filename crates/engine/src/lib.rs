@@ -56,14 +56,16 @@
 //!
 //! The `privtree-serve` binary in this crate turns the store into a
 //! process: it loads serialized releases (text or binary, sniffed;
-//! shipped grid sections arrive prebuilt), answers a line-protocol query
-//! workload over stdin or a TCP socket through the pooled /
-//! Morton-batched read path, and accepts the same add/swap/retire —
-//! plus catalog save/load — operations at runtime. The protocol itself
-//! is the [`serve`] module, embeddable in tests and benchmarks.
+//! shipped grid sections arrive prebuilt), answers a text or binary
+//! query workload over stdin or a TCP socket through the pooled read
+//! path, and accepts the same add/swap/retire — plus catalog save/load —
+//! operations at runtime. The protocols are the [`serve`] module,
+//! embeddable in tests and benchmarks: one sans-IO session core decodes
+//! and renders both, driven by a TCP reactor or a blocking stdin loop.
 
 mod reactor;
 pub mod serve;
+mod session;
 pub mod wire;
 
 use std::collections::BTreeMap;

@@ -1,59 +1,30 @@
 //! The multiplexed TCP front end: one thread, every connection.
 //!
-//! The thread-per-connection loop this replaces spent the serving gap
-//! on context switches and per-connection batch dispatches; the
-//! reactor owns every socket nonblockingly (readiness via
-//! [`privtree_runtime::readiness`], i.e. `poll(2)`), decodes complete
-//! text lines and binary frames into per-connection job queues, and —
-//! the point of the exercise — **coalesces queries that arrived on
-//! different connections in the same tick into one pooled dispatch**
-//! through [`privtree_runtime::Coalescer`]: the worker pool answers a
-//! single Morton-ordered batch, and the reactor scatters each
-//! connection's slice of the results back to its socket.
-//!
-//! Correctness invariants, all pinned by the serve test suites:
-//!
-//! * **Per-connection order** — jobs execute strictly in arrival
-//!   order: queries queued before a mutation are answered from the
-//!   pre-mutation snapshot taken when their dispatch ran, and their
-//!   replies are written before the mutation's `ok`.
-//! * **Bit identity** — coalescing is pure concatenation and the batch
-//!   answerers are per-item, so a coalesced answer is bit-identical to
-//!   a solo dispatch of the same query (and to the text protocol's
-//!   `%.17e` rendering of it).
-//! * **Lifecycle guards** — the connection cap sheds with the text
-//!   `err busy` line (negotiation has not happened at accept time),
-//!   read/write deadlines evict stalled peers, a tripped shutdown stops
-//!   accepting and drains in-flight replies, and every dispatch and
-//!   control verb runs under `catch_unwind` so one panicking command
-//!   answers `err internal ...` (text) or an `ERRF` frame (binary)
-//!   while every connection keeps serving.
-//! * **Journal-before-ack** — control verbs execute through
-//!   [`control_reply`], whose `ok` line exists only after the catalog
-//!   persist completed; the reactor buffers that line after every
-//!   earlier reply, so the peer never sees an ack for an unpersisted
-//!   mutation.
+//! The reactor owns every socket nonblockingly (readiness via
+//! [`privtree_runtime::readiness`], i.e. `poll(2)`) and does only
+//! transport work: it feeds each connection's bytes into that
+//! connection's sans-IO [`Session`], runs [`run_jobs`] over **all**
+//! connections at once — so queries that arrived on different
+//! connections in the same tick go out as one pooled dispatch — and
+//! writes each session's rendered output back to its socket. It
+//! enforces the TCP guards of `crate::serve` (connection cap, idle
+//! deadline, drain) plus backpressure, and records the transport
+//! telemetry: `conns{proto}` (when a session negotiates and when it
+//! closes), byte counts, shed/evict counters, queue depth, and the
+//! per-tick `reactor_stage_us` histograms.
 
-use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use privtree_runtime::readiness::{self, PollEntry};
-use privtree_runtime::telemetry::{Stage, TickTrace};
-use privtree_runtime::{failpoints, Coalescer, ShutdownSignal};
-use privtree_spatial::query::RangeQuery;
-use privtree_store::frame::{parse_header, payload, FrameError};
+use privtree_runtime::telemetry::{Gauge, Stage, TickTrace};
+use privtree_runtime::{failpoints, ShutdownSignal};
 
-use crate::serve::{
-    control_reply, exposition_lines, panic_message, parse_query, shed, ServeContext, ServeOptions,
-    MAX_BATCH,
-};
-use crate::wire;
+use crate::serve::{ServeContext, ServeOptions};
+use crate::session::{run_jobs, Session};
 
 /// Poll timeout: the longest the reactor sleeps when no socket has
 /// traffic. Also bounds how late a drain or deadline eviction lands.
@@ -70,144 +41,48 @@ const READ_QUANTUM: usize = 1 << 20;
 /// from piling more replies on, it never splits one.
 const OUT_HIGH_WATER: usize = 1 << 20;
 
-/// What protocol a connection speaks, decided by its first byte.
-enum Proto {
-    /// Nothing read yet.
-    Pending,
-    /// The line protocol, with its incremental decode state.
-    Text(TextState),
-    /// `privtree-wire v1` frames.
-    Wire,
-}
-
-/// Incremental text-protocol decode state.
-#[derive(Default)]
-struct TextState {
-    /// Discarding an oversized line up to its newline (the resync the
-    /// line cap promises).
-    skipping: bool,
-    /// An open `batch <n>` still collecting its query lines.
-    batch: Option<BatchState>,
-}
-
-/// A `batch <n>` mid-collection.
-struct BatchState {
-    /// Query lines still owed.
-    remaining: usize,
-    /// Parsed queries so far (abandoned once `problem` is set).
-    queries: Vec<RangeQuery>,
-    /// First failure; the batch still drains all `n` lines so the
-    /// stream stays aligned, then answers this one `err`.
-    problem: Option<String>,
-    /// Dimensionality captured when the batch opened.
-    dims: usize,
-    /// When the `batch` command decoded (request latency starts at the
-    /// command, not its last query line). `None` when nothing clocks.
-    created: Option<Instant>,
-}
-
-/// How to render a dispatch's answers back to the connection.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Shape {
-    /// One `%.17e` line (`count`).
-    Count,
-    /// One `%.17e` line per answer, written as a single buffer.
-    Batch,
-    /// One `ANSV` frame, CRC'd iff the request was.
-    Wire { crc: bool },
-}
-
-/// One unit of work a connection has queued, in arrival order.
-enum Job {
-    /// Queries awaiting a (coalesced) pooled dispatch.
-    Queries {
-        queries: Vec<RangeQuery>,
-        shape: Shape,
-        /// Decode time, for the per-protocol request-latency histogram
-        /// and the slow-query log. `None` when nothing clocks.
-        created: Option<Instant>,
-    },
-    /// A control verb line for [`control_reply`].
-    Control(String),
-    /// Bytes already rendered at decode time (errors, `HELO`).
-    Reply(Vec<u8>),
-    /// Flush everything queued before this, then close.
-    Quit,
-}
-
-/// One connection's state in the reactor.
+/// One connection's state in the reactor: the socket, its protocol
+/// [`Session`], and the idle/stall clocks the deadline checks.
 struct Conn {
     stream: TcpStream,
-    proto: Proto,
-    /// Raw unconsumed bytes off the socket. Bounded: complete lines and
-    /// frames leave it every tick, so it holds at most one incomplete
-    /// line/frame plus one read quantum.
-    inbuf: Vec<u8>,
-    /// How much of `inbuf` has been decoded this tick. A cursor rather
-    /// than per-event `drain`: draining the buffer once per line would
-    /// memmove the whole remaining batch payload every line (quadratic
-    /// in the buffered bytes); instead the consumed prefix is compacted
-    /// once after each ingest pass.
-    inpos: usize,
-    jobs: VecDeque<Job>,
-    /// Rendered replies not yet written, in reply order.
-    outbuf: Vec<u8>,
-    /// How much of `outbuf` has been written.
-    outpos: usize,
+    session: Session,
+    /// The `conns{proto}` gauge this connection counts in once its
+    /// session negotiated; released when the connection drops.
+    gauge: Option<Arc<Gauge>>,
     last_read: Instant,
     /// When the peer first refused bytes with output pending.
     write_stalled: Option<Instant>,
-    /// Flush `outbuf`, then close (a `quit`, or a fatal protocol
-    /// error whose reply is already buffered).
-    closing: bool,
     /// Drop the connection now.
     dead: bool,
-    /// The peer half-closed; finalize once `inbuf` is drained.
-    eof: bool,
-    /// EOF finalization already ran.
-    eof_done: bool,
 }
 
 impl Conn {
     fn new(stream: TcpStream) -> Self {
         Self {
             stream,
-            proto: Proto::Pending,
-            inbuf: Vec::new(),
-            inpos: 0,
-            jobs: VecDeque::new(),
-            outbuf: Vec::new(),
-            outpos: 0,
+            session: Session::default(),
+            gauge: None,
             last_read: Instant::now(),
             write_stalled: None,
-            closing: false,
             dead: false,
-            eof: false,
-            eof_done: false,
         }
     }
 
     fn pending_out(&self) -> usize {
-        self.outbuf.len() - self.outpos
+        self.session.output().len()
     }
+}
 
-    /// Queue a text reply line.
-    fn push_line(&mut self, line: &str) {
-        let mut bytes = Vec::with_capacity(line.len() + 1);
-        bytes.extend_from_slice(line.as_bytes());
-        bytes.push(b'\n');
-        self.jobs.push_back(Job::Reply(bytes));
+impl AsMut<Session> for Conn {
+    fn as_mut(&mut self) -> &mut Session {
+        &mut self.session
     }
+}
 
-    /// Queue an `ERRF` frame; `close` also queues the quit that makes
-    /// it the connection's last words.
-    fn push_err_frame(&mut self, ctx: &ServeContext, code: u16, message: &str, close: bool) {
-        let mut bytes = Vec::new();
-        wire::encode_err_frame_into(&mut bytes, code, message);
-        ctx.metrics.wire_frames_out.inc();
-        self.jobs.push_back(Job::Reply(bytes));
-        if close {
-            self.jobs.push_back(Job::Quit);
+impl Drop for Conn {
+    fn drop(&mut self) {
+        if let Some(gauge) = &self.gauge {
+            gauge.sub(1);
         }
     }
 }
@@ -267,13 +142,13 @@ pub(crate) fn run_reactor(
         for conn in &conns {
             let mut e = PollEntry {
                 fd: fd_of(&conn.stream),
-                want_read: !conn.closing && !conn.eof && conn.pending_out() < OUT_HIGH_WATER,
+                want_read: conn.session.wants_input() && conn.pending_out() < OUT_HIGH_WATER,
                 want_write: conn.pending_out() > 0,
                 ..PollEntry::default()
             };
             if !e.want_read && !e.want_write {
                 // still in the set so a hangup wakes the poll
-                e.want_read = conn.eof || conn.closing;
+                e.want_read = !conn.session.wants_input();
             }
             entries.push(e);
         }
@@ -291,35 +166,41 @@ pub(crate) fn run_reactor(
         let now = Instant::now();
         let any_input = conns.iter().enumerate().any(|(i, conn)| {
             !conn.dead
-                && !conn.closing
+                && !conn.session.done()
                 && entries
                     .get(conn_base + i)
                     .is_some_and(|e| e.readable || e.closed)
         });
         let read_pass = |conns: &mut Vec<Conn>| {
             for (i, conn) in conns.iter_mut().enumerate() {
-                if conn.dead || conn.closing {
+                if conn.dead || conn.session.done() {
                     continue;
                 }
                 let ready = entries
                     .get(conn_base + i)
                     .is_some_and(|e| e.readable || e.closed);
-                if ready && !conn.eof && conn.pending_out() < OUT_HIGH_WATER {
-                    let before = conn.inbuf.len();
-                    read_some(conn, now);
-                    let got = conn.inbuf.len() - before;
+                if ready && conn.session.wants_input() && conn.pending_out() < OUT_HIGH_WATER {
+                    let got = read_some(conn, now);
                     if got > 0 {
                         ctx.metrics.bytes_in.add(got as u64);
                     }
                 }
-                if !conn.dead {
-                    // a decode bug must not take the listener down: the
-                    // connection answers through its error paths, and a
-                    // panic here closes only this connection
-                    if catch_unwind(AssertUnwindSafe(|| ingest(conn, &ctx, &opts, draining)))
-                        .is_err()
-                    {
+                // while draining, buffered bytes stay undecoded: in-flight
+                // means already queued
+                if !conn.dead && !draining {
+                    // a decode bug closes only this connection
+                    if !conn.session.ingest(&ctx) {
                         conn.dead = true;
+                    }
+                    if conn.gauge.is_none() {
+                        conn.gauge = match conn.session.protocol() {
+                            Some("wire") => Some(Arc::clone(&ctx.metrics.conns_wire)),
+                            Some(_) => Some(Arc::clone(&ctx.metrics.conns_text)),
+                            None => None,
+                        };
+                        if let Some(gauge) = &conn.gauge {
+                            gauge.add(1);
+                        }
                     }
                 }
             }
@@ -334,9 +215,9 @@ pub(crate) fn run_reactor(
         // everything below works the queues down
         ctx.metrics
             .queue_depth
-            .set(conns.iter().map(|c| c.jobs.len() as u64).sum());
+            .set(conns.iter().map(|c| c.session.queued() as u64).sum());
 
-        execute_jobs(&mut conns, &ctx, &mut trace);
+        run_jobs(&mut conns, &ctx, &mut trace);
 
         // flush, then lifecycle: write stalls, idle deadlines, drain
         for conn in conns.iter_mut() {
@@ -345,12 +226,12 @@ pub(crate) fn run_reactor(
             }
             let before = conn.pending_out();
             if before > 0 {
-                trace.time(Stage::Flush, || flush(conn, now, opts.write_timeout));
+                trace.time(Stage::Flush, || flush(conn, now, opts.idle_timeout));
                 ctx.metrics
                     .bytes_out
                     .add((before - conn.pending_out()) as u64);
             } else {
-                flush(conn, now, opts.write_timeout);
+                flush(conn, now, opts.idle_timeout);
             }
             if conn.dead {
                 // the only in-flush death with replies still owed is a
@@ -361,27 +242,16 @@ pub(crate) fn run_reactor(
                 }
                 continue;
             }
+            // every job ran above, so a flushed connection owes nothing
             let flushed = conn.pending_out() == 0;
-            if conn.closing && flushed {
+            if flushed && (conn.session.done() || draining) {
+                // a finished session, or a drain: in-flight replies have
+                // been written, and no further command is read
                 conn.dead = true;
                 continue;
             }
-            if conn.eof && conn.eof_done && conn.jobs.is_empty() && flushed {
-                conn.dead = true;
-                continue;
-            }
-            if draining && conn.jobs.is_empty() && flushed {
-                // in-flight replies have been written; drain closes the
-                // connection without reading further commands
-                conn.dead = true;
-                continue;
-            }
-            if let Some(deadline) = opts.read_timeout {
-                if !conn.closing
-                    && conn.jobs.is_empty()
-                    && flushed
-                    && now.duration_since(conn.last_read) >= deadline
-                {
+            if let Some(deadline) = opts.idle_timeout {
+                if flushed && now.duration_since(conn.last_read) >= deadline {
                     // slowloris eviction: silent (or trickling-and-
                     // stalled) peers cannot pin a slot open
                     conn.dead = true;
@@ -390,27 +260,11 @@ pub(crate) fn run_reactor(
             }
         }
 
-        conns.retain(|conn| {
-            if conn.dead {
-                match conn.proto {
-                    Proto::Text(_) => ctx.metrics.conns_text.sub(1),
-                    Proto::Wire => ctx.metrics.conns_wire.sub(1),
-                    Proto::Pending => {}
-                }
-            }
-            !conn.dead
-        });
+        conns.retain(|conn| !conn.dead);
         active.store(conns.len(), Ordering::SeqCst);
         trace.observe_into(&ctx.metrics.stage_us);
     }
     // aborted (or drained): whatever remains is dropped, sockets close
-    for conn in &conns {
-        match conn.proto {
-            Proto::Text(_) => ctx.metrics.conns_text.sub(1),
-            Proto::Wire => ctx.metrics.conns_wire.sub(1),
-            Proto::Pending => {}
-        }
-    }
     drop(conns);
     active.store(0, Ordering::SeqCst);
 }
@@ -456,26 +310,27 @@ fn accept_burst(
     }
 }
 
-/// Pull up to [`READ_QUANTUM`] bytes off one socket into its `inbuf`.
-fn read_some(conn: &mut Conn, now: Instant) {
+/// Feed up to [`READ_QUANTUM`] bytes off one socket into its session;
+/// returns how many.
+fn read_some(conn: &mut Conn, now: Instant) -> usize {
     if failpoints::check("serve.read").is_err() {
         conn.dead = true;
-        return;
+        return 0;
     }
     let mut taken = 0;
     let mut buf = [0u8; 16 * 1024];
     loop {
         match conn.stream.read(&mut buf) {
             Ok(0) => {
-                conn.eof = true;
-                return;
+                conn.session.feed(&[]);
+                return taken;
             }
             Ok(n) => {
-                conn.inbuf.extend_from_slice(&buf[..n]);
+                conn.session.feed(&buf[..n]);
                 conn.last_read = now;
                 taken += n;
                 if taken >= READ_QUANTUM {
-                    return;
+                    return taken;
                 }
             }
             Err(e)
@@ -484,607 +339,22 @@ fn read_some(conn: &mut Conn, now: Instant) {
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                return;
+                return taken;
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => {
                 conn.dead = true;
-                return;
+                return taken;
             }
         }
     }
 }
 
-/// Decode everything decodable in `inbuf` into jobs, negotiating the
-/// protocol on the first byte, then finalize EOF once the buffer is
-/// spent. While draining, buffered bytes are left unread — in-flight
-/// means "already queued", matching the old loop's between-commands
-/// shutdown check.
-fn ingest(conn: &mut Conn, ctx: &ServeContext, opts: &ServeOptions, draining: bool) {
-    if draining {
-        return;
-    }
-    ingest_negotiated(conn, ctx, opts);
-    // compact the consumed prefix once per pass (see `Conn::inpos`)
-    let consumed = conn.inpos.min(conn.inbuf.len());
-    if consumed > 0 {
-        conn.inbuf.drain(..consumed);
-    }
-    conn.inpos = 0;
-}
-
-/// [`ingest`]'s body: negotiate, then decode via the cursor.
-fn ingest_negotiated(conn: &mut Conn, ctx: &ServeContext, opts: &ServeOptions) {
-    if matches!(conn.proto, Proto::Pending) {
-        if conn.inbuf.is_empty() {
-            if conn.eof {
-                conn.eof_done = true;
-            }
-            return;
-        }
-        if conn.inbuf[0] == wire::PREAMBLE[0] {
-            if conn.inbuf.len() < wire::PREAMBLE.len() {
-                if conn.eof {
-                    conn.eof_done = true; // truncated preamble: close
-                }
-                return;
-            }
-            if conn.inbuf[..4] == wire::PREAMBLE {
-                conn.inbuf.drain(..4);
-                conn.proto = Proto::Wire;
-                ctx.metrics.conns_wire.add(1);
-                let mut hello = Vec::new();
-                wire::encode_hello_frame_into(&mut hello, ctx.store.snapshot().dims());
-                ctx.metrics.wire_frames_out.inc();
-                conn.jobs.push_back(Job::Reply(hello));
-            } else {
-                conn.proto = Proto::Wire; // it tried to speak binary
-                ctx.metrics.conns_wire.add(1);
-                conn.push_err_frame(ctx, wire::ERR_BAD_FRAME, "bad preamble", true);
-                conn.inbuf.clear();
-                return;
-            }
-        } else {
-            conn.proto = Proto::Text(TextState::default());
-            ctx.metrics.conns_text.add(1);
-        }
-    }
-    match &mut conn.proto {
-        Proto::Pending => unreachable!("negotiated above"),
-        Proto::Text(_) => ingest_text(conn, ctx, opts),
-        Proto::Wire => ingest_wire(conn, ctx, opts),
-    }
-}
-
-/// What one scan of the text buffer produced.
-enum TextEvent {
-    /// A complete line (already drained from `inbuf`).
-    Line(Vec<u8>),
-    /// An oversized line was discarded through its newline.
-    TooLong,
-    /// Need more bytes.
-    Incomplete,
-}
-
-/// Extract the next line event from `inbuf`, honoring skip-to-newline
-/// resync and the line cap.
-fn next_text_event(conn: &mut Conn, skipping: &mut bool, max_line: usize) -> TextEvent {
-    if *skipping {
-        match conn.inbuf[conn.inpos..].iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                conn.inpos += pos + 1;
-                *skipping = false;
-                return TextEvent::TooLong;
-            }
-            None => {
-                conn.inbuf.clear(); // keep discarding, stay bounded
-                conn.inpos = 0;
-                return TextEvent::Incomplete;
-            }
-        }
-    }
-    match conn.inbuf[conn.inpos..].iter().position(|&b| b == b'\n') {
-        Some(pos) if pos > max_line => {
-            conn.inpos += pos + 1;
-            TextEvent::TooLong
-        }
-        Some(pos) => {
-            let mut line = conn.inbuf[conn.inpos..conn.inpos + pos].to_vec();
-            conn.inpos += pos + 1;
-            while matches!(line.last(), Some(b'\r')) {
-                line.pop();
-            }
-            TextEvent::Line(line)
-        }
-        None if conn.inbuf.len() - conn.inpos > max_line => {
-            conn.inbuf.clear();
-            conn.inpos = 0;
-            *skipping = true;
-            TextEvent::Incomplete
-        }
-        None => TextEvent::Incomplete,
-    }
-}
-
-/// Decode complete text lines into jobs until the buffer runs dry,
-/// then finalize EOF (unterminated final line, truncated batch, quit).
-fn ingest_text(conn: &mut Conn, ctx: &ServeContext, opts: &ServeOptions) {
-    loop {
-        let Proto::Text(state) = &mut conn.proto else {
-            return;
-        };
-        let mut skipping = state.skipping;
-        let event = next_text_event(conn, &mut skipping, opts.max_line);
-        let Proto::Text(state) = &mut conn.proto else {
-            return;
-        };
-        state.skipping = skipping;
-        match event {
-            TextEvent::Incomplete => break,
-            TextEvent::TooLong => {
-                ctx.metrics.line_resyncs.inc();
-                let err = format!("err line too long (max {} bytes)", opts.max_line);
-                if in_batch(conn) {
-                    batch_line_problem(conn, err.trim_start_matches("err ").to_string());
-                } else {
-                    conn.push_line(&err);
-                }
-            }
-            TextEvent::Line(line) => text_line(conn, ctx, &line),
-        }
-    }
-    if conn.eof && !conn.eof_done {
-        let Proto::Text(state) = &mut conn.proto else {
-            return;
-        };
-        if state.skipping {
-            state.skipping = false;
-            ctx.metrics.line_resyncs.inc();
-            let err = format!("err line too long (max {} bytes)", opts.max_line);
-            if in_batch(conn) {
-                batch_line_problem(conn, err.trim_start_matches("err ").to_string());
-            } else {
-                conn.push_line(&err);
-            }
-        } else if conn.inpos < conn.inbuf.len() {
-            // an unterminated final line still counts as a line
-            let line = conn.inbuf[conn.inpos..].to_vec();
-            conn.inbuf.clear();
-            conn.inpos = 0;
-            text_line(conn, ctx, &line);
-        }
-        if let Proto::Text(state) = &mut conn.proto {
-            if state.batch.take().is_some() {
-                conn.push_line("err unexpected end of input inside batch");
-            }
-        }
-        conn.jobs.push_back(Job::Quit);
-        conn.eof_done = true;
-    }
-}
-
-fn in_batch(conn: &Conn) -> bool {
-    matches!(&conn.proto, Proto::Text(s) if s.batch.is_some())
-}
-
-/// Record a failed batch line (the batch still drains its remaining
-/// lines so the stream stays aligned).
-fn batch_line_problem(conn: &mut Conn, problem: String) {
-    let Proto::Text(state) = &mut conn.proto else {
-        return;
-    };
-    let Some(batch) = &mut state.batch else {
-        return;
-    };
-    if batch.problem.is_none() {
-        batch.problem = Some(problem);
-    }
-    batch.remaining -= 1;
-    if batch.remaining == 0 {
-        finish_batch(conn);
-    }
-}
-
-/// Close out a completed batch into its job (queries or one `err`).
-fn finish_batch(conn: &mut Conn) {
-    let Proto::Text(state) = &mut conn.proto else {
-        return;
-    };
-    let Some(batch) = state.batch.take() else {
-        return;
-    };
-    match batch.problem {
-        Some(e) => conn.push_line(&format!("err {e}")),
-        None => conn.jobs.push_back(Job::Queries {
-            queries: batch.queries,
-            shape: Shape::Batch,
-            created: batch.created,
-        }),
-    }
-}
-
-/// Route one complete text line: a batch query line if a batch is
-/// open, a command otherwise.
-fn text_line(conn: &mut Conn, ctx: &ServeContext, raw: &[u8]) {
-    if in_batch(conn) {
-        let Ok(qline) = std::str::from_utf8(raw) else {
-            batch_line_problem(conn, "batch line is not valid utf-8".into());
-            return;
-        };
-        let mut parts = qline.split_whitespace();
-        let parsed = match (parts.next(), parts.next()) {
-            (Some(lo), Some(hi)) => {
-                let dims = match &conn.proto {
-                    Proto::Text(s) => s.batch.as_ref().map_or(0, |b| b.dims),
-                    _ => 0,
-                };
-                parse_query(dims, lo, hi)
-            }
-            _ => Err(format!("bad batch line: {qline}")),
-        };
-        match parsed {
-            Ok(q) => {
-                let Proto::Text(state) = &mut conn.proto else {
-                    return;
-                };
-                let Some(batch) = &mut state.batch else {
-                    return;
-                };
-                if batch.problem.is_none() {
-                    batch.queries.push(q);
-                }
-                batch.remaining -= 1;
-                if batch.remaining == 0 {
-                    finish_batch(conn);
-                }
-            }
-            Err(e) => batch_line_problem(conn, e),
-        }
-        return;
-    }
-    let Ok(line) = std::str::from_utf8(raw) else {
-        conn.push_line("err line is not valid utf-8");
-        return;
-    };
-    let line = line.trim();
-    if line.is_empty() {
-        return;
-    }
-    let mut fields = line.split_whitespace();
-    match fields.next().unwrap_or_default() {
-        "count" => {
-            let snap = ctx.store.snapshot();
-            match (fields.next(), fields.next()) {
-                (Some(lo), Some(hi)) => match parse_query(snap.dims(), lo, hi) {
-                    Ok(q) => conn.jobs.push_back(Job::Queries {
-                        queries: vec![q],
-                        shape: Shape::Count,
-                        created: ctx.clocked().then(Instant::now),
-                    }),
-                    Err(e) => conn.push_line(&format!("err {e}")),
-                },
-                _ => conn.push_line("err count needs <lo> <hi>"),
-            }
-        }
-        "batch" => {
-            let n: usize = match fields.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n <= MAX_BATCH => n,
-                Some(n) => {
-                    conn.push_line(&format!(
-                        "err batch of {n} exceeds the {MAX_BATCH}-query cap"
-                    ));
-                    return;
-                }
-                None => {
-                    conn.push_line("err batch needs a query count");
-                    return;
-                }
-            };
-            let created = ctx.clocked().then(Instant::now);
-            let dims = ctx.store.snapshot().dims();
-            if n == 0 {
-                conn.jobs.push_back(Job::Queries {
-                    queries: Vec::new(),
-                    shape: Shape::Batch,
-                    created,
-                });
-                return;
-            }
-            let Proto::Text(state) = &mut conn.proto else {
-                return;
-            };
-            state.batch = Some(BatchState {
-                remaining: n,
-                queries: Vec::with_capacity(n.min(1 << 16)),
-                problem: None,
-                dims,
-                created,
-            });
-        }
-        "quit" => {
-            conn.jobs.push_back(Job::Quit);
-        }
-        _ => conn.jobs.push_back(Job::Control(line.to_string())),
-    }
-}
-
-/// Decode complete binary frames into jobs until the buffer runs dry,
-/// then finalize EOF (a truncated frame is a clean close — no reply
-/// target exists for half a frame).
-fn ingest_wire(conn: &mut Conn, ctx: &ServeContext, opts: &ServeOptions) {
-    loop {
-        let header = match parse_header(&conn.inbuf[conn.inpos..], opts.max_frame) {
-            Ok(None) => break,
-            Ok(Some(header)) => header,
-            Err(e) => {
-                ctx.metrics.wire_frames_in.inc();
-                let code = match e {
-                    FrameError::Oversized { .. } => wire::ERR_OVERSIZED,
-                    _ => wire::ERR_BAD_FRAME,
-                };
-                conn.push_err_frame(ctx, code, &e.to_string(), true);
-                conn.inbuf.clear();
-                conn.inpos = 0;
-                return;
-            }
-        };
-        if conn.inbuf.len() - conn.inpos < header.total_len() {
-            break; // bounded: len already validated against max_frame
-        }
-        let frame = conn.inbuf[conn.inpos..conn.inpos + header.total_len()].to_vec();
-        conn.inpos += header.total_len();
-        ctx.metrics.wire_frames_in.inc();
-        let body = match payload(&header, &frame) {
-            Ok(body) => body,
-            Err(e) => {
-                // the full frame was consumed, so the stream is still
-                // aligned: a corrupted payload keeps the session alive
-                conn.push_err_frame(ctx, wire::ERR_CHECKSUM, &e.to_string(), false);
-                continue;
-            }
-        };
-        match header.tag {
-            wire::TAG_QUERY => {
-                let dims = ctx.store.snapshot().dims();
-                match wire::decode_query_payload(body, dims) {
-                    Ok(queries) => conn.jobs.push_back(Job::Queries {
-                        queries,
-                        shape: Shape::Wire {
-                            crc: header.has_crc(),
-                        },
-                        created: ctx.clocked().then(Instant::now),
-                    }),
-                    Err(e) => conn.push_err_frame(ctx, wire::ERR_BAD_QUERY, &e, false),
-                }
-            }
-            wire::TAG_METRICS => {
-                // the binary `metrics` verb: rendered at decode time
-                // (like `HELO`) and queued as a reply, so it lands in
-                // per-connection order behind earlier frames
-                let mut text = exposition_lines(ctx).join("\n");
-                text.push('\n');
-                let mut bytes = Vec::new();
-                wire::encode_metrics_frame_into(&mut bytes, &text, header.has_crc());
-                ctx.metrics.wire_frames_out.inc();
-                conn.jobs.push_back(Job::Reply(bytes));
-            }
-            wire::TAG_QUIT => {
-                conn.jobs.push_back(Job::Quit);
-                conn.inbuf.clear();
-                conn.inpos = 0;
-                return;
-            }
-            other => {
-                let msg = format!("unexpected frame {:?}", String::from_utf8_lossy(&other));
-                conn.push_err_frame(ctx, wire::ERR_BAD_FRAME, &msg, true);
-                conn.inbuf.clear();
-                conn.inpos = 0;
-                return;
-            }
-        }
-    }
-    if conn.eof && !conn.eof_done {
-        conn.jobs.push_back(Job::Quit);
-        conn.eof_done = true;
-    }
-}
-
-/// Run every queued job to completion, in per-connection order, in
-/// rounds: first every connection's *leading* query jobs coalesce into
-/// one pooled dispatch (the cross-connection batching this module
-/// exists for), then leading non-query jobs execute, until no job
-/// remains. A connection's query queued before its mutation is always
-/// dispatched — and its reply buffered — before the mutation runs.
-fn execute_jobs(conns: &mut [Conn], ctx: &ServeContext, trace: &mut TickTrace) {
-    loop {
-        let mut progressed = false;
-
-        // gather leading query jobs across every connection (the
-        // `coalesce` stage, charged only when something gathered)
-        let gather_start = trace.capturing().then(Instant::now);
-        let mut co: Coalescer<(usize, Shape), RangeQuery> = Coalescer::new();
-        let mut metas: Vec<QueryMeta> = Vec::new();
-        for (i, conn) in conns.iter_mut().enumerate() {
-            if conn.dead || conn.closing {
-                continue;
-            }
-            while let Some(Job::Queries { .. }) = conn.jobs.front() {
-                let Some(Job::Queries {
-                    queries,
-                    shape,
-                    created,
-                }) = conn.jobs.pop_front()
-                else {
-                    unreachable!("front was a query job");
-                };
-                metas.push(QueryMeta {
-                    shape,
-                    created,
-                    offset: co.len(),
-                    len: queries.len(),
-                });
-                co.push((i, shape), queries);
-                progressed = true;
-            }
-        }
-        if !co.is_empty() {
-            if let Some(t) = gather_start {
-                trace.add_us(Stage::Coalesce, t.elapsed().as_micros() as u64);
-            }
-            dispatch(conns, ctx, &co, &metas, trace);
-        }
-
-        // leading non-query jobs: control verbs, rendered replies, quit
-        for conn in conns.iter_mut() {
-            if conn.dead || conn.closing {
-                continue;
-            }
-            loop {
-                match conn.jobs.front() {
-                    None | Some(Job::Queries { .. }) => break,
-                    Some(_) => {}
-                }
-                let job = conn.jobs.pop_front().expect("front checked");
-                progressed = true;
-                match job {
-                    Job::Queries { .. } => unreachable!("filtered above"),
-                    Job::Reply(bytes) => conn.outbuf.extend_from_slice(&bytes),
-                    Job::Control(line) => {
-                        // panic isolation per verb, same as the old
-                        // per-connection loop
-                        let reply = catch_unwind(AssertUnwindSafe(|| control_reply(ctx, &line)))
-                            .unwrap_or_else(|payload| {
-                                format!("err internal: {}", panic_message(payload.as_ref()))
-                            });
-                        conn.outbuf.extend_from_slice(reply.as_bytes());
-                        conn.outbuf.push(b'\n');
-                    }
-                    Job::Quit => {
-                        conn.closing = true;
-                        conn.jobs.clear();
-                        break;
-                    }
-                }
-            }
-        }
-
-        if !progressed {
-            return;
-        }
-    }
-}
-
-/// One query job's bookkeeping through a pooled dispatch: where its
-/// queries sit in the coalesced batch, and when it decoded.
-struct QueryMeta {
-    shape: Shape,
-    created: Option<Instant>,
-    /// Start of this job's queries in `co.items()`.
-    offset: usize,
-    len: usize,
-}
-
-/// One pooled dispatch for every leading query job this round, with
-/// results scattered back per connection (bit-identical to solo
-/// dispatches — the batch answerers are per-item and the merge is pure
-/// concatenation).
-fn dispatch(
-    conns: &mut [Conn],
-    ctx: &ServeContext,
-    co: &Coalescer<(usize, Shape), RangeQuery>,
-    metas: &[QueryMeta],
-    trace: &mut TickTrace,
-) {
-    let m = &ctx.metrics;
-    m.coalesced_dispatches.inc();
-    m.coalesced_queries.add(co.len() as u64);
-    m.coalesced_spans.add(co.spans() as u64);
-    let snap = ctx.store.snapshot();
-    let clock = trace.capturing() || metas.iter().any(|meta| meta.created.is_some());
-    let pool_start = clock.then(Instant::now);
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        snap.synopsis()
-            .answer_batch_with_pool(co.items(), privtree_runtime::global())
-    }));
-    let dispatch_us = pool_start.map_or(0, |t| t.elapsed().as_micros() as u64);
-    trace.add_us(Stage::Dispatch, dispatch_us);
-    match outcome {
-        Ok(answers) => {
-            trace.time(Stage::Scatter, || {
-                for (&(i, shape), slice) in co.scatter(&answers) {
-                    append_answers(&mut conns[i], shape, slice, ctx);
-                }
-            });
-            // per-job latency (decode to reply rendered) and the
-            // slow-query log; the pooled batch cost is shared, so each
-            // job charges the same dispatch span
-            for meta in metas {
-                let Some(created) = meta.created else {
-                    continue;
-                };
-                let proto = match meta.shape {
-                    Shape::Wire { .. } => "wire",
-                    Shape::Count | Shape::Batch => "text",
-                };
-                ctx.observe_request(
-                    &snap,
-                    proto,
-                    &co.items()[meta.offset..meta.offset + meta.len],
-                    created.elapsed().as_micros() as u64,
-                    dispatch_us,
-                );
-            }
-        }
-        Err(payload) => {
-            // every participant learns of the failure; the listener —
-            // and each connection — keeps serving
-            let msg = panic_message(payload.as_ref());
-            for &(i, shape) in co.sources() {
-                let conn = &mut conns[i];
-                match shape {
-                    Shape::Count | Shape::Batch => {
-                        conn.outbuf
-                            .extend_from_slice(format!("err internal: {msg}\n").as_bytes());
-                    }
-                    Shape::Wire { .. } => {
-                        wire::encode_err_frame_into(
-                            &mut conn.outbuf,
-                            wire::ERR_INTERNAL,
-                            &format!("internal: {msg}"),
-                        );
-                        m.wire_frames_out.inc();
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Render one reply unit's answers into the connection's output buffer.
-fn append_answers(conn: &mut Conn, shape: Shape, answers: &[f64], ctx: &ServeContext) {
-    match shape {
-        Shape::Count | Shape::Batch => {
-            // the whole reply renders into one buffer: a batch of a
-            // million answers is one write stream, not a million
-            let mut rendered = String::with_capacity(answers.len() * 26);
-            for a in answers {
-                let _ = writeln!(rendered, "{a:.17e}");
-            }
-            conn.outbuf.extend_from_slice(rendered.as_bytes());
-        }
-        Shape::Wire { crc } => {
-            wire::encode_answer_frame_into(&mut conn.outbuf, answers, crc);
-            ctx.metrics.wire_frames_out.inc();
-        }
-    }
-}
-
-/// Write as much pending output as the socket accepts, tracking stalls
-/// against the write deadline.
-fn flush(conn: &mut Conn, now: Instant, write_timeout: Option<Duration>) {
+/// Write as much pending output as the socket accepts; a peer that
+/// refuses every byte for `idle_timeout` with replies pending is
+/// evicted.
+fn flush(conn: &mut Conn, now: Instant, idle_timeout: Option<Duration>) {
     if conn.pending_out() == 0 {
-        conn.outbuf.clear();
-        conn.outpos = 0;
         conn.write_stalled = None;
         return;
     }
@@ -1093,17 +363,15 @@ fn flush(conn: &mut Conn, now: Instant, write_timeout: Option<Duration>) {
         return;
     }
     loop {
-        match conn.stream.write(&conn.outbuf[conn.outpos..]) {
+        match conn.stream.write(conn.session.output()) {
             Ok(0) => {
                 conn.dead = true;
                 return;
             }
             Ok(n) => {
-                conn.outpos += n;
+                conn.session.consume_output(n);
                 conn.write_stalled = None;
                 if conn.pending_out() == 0 {
-                    conn.outbuf.clear();
-                    conn.outpos = 0;
                     return;
                 }
             }
@@ -1116,7 +384,7 @@ fn flush(conn: &mut Conn, now: Instant, write_timeout: Option<Duration>) {
                 // the peer stopped reading with replies pending: start
                 // (or check) the stall clock
                 let since = *conn.write_stalled.get_or_insert(now);
-                if let Some(deadline) = write_timeout {
+                if let Some(deadline) = idle_timeout {
                     if now.duration_since(since) >= deadline {
                         conn.dead = true;
                     }
@@ -1130,4 +398,17 @@ fn flush(conn: &mut Conn, now: Instant, write_timeout: Option<Duration>) {
             }
         }
     }
+}
+
+/// Answer `err busy` (with a retry hint — the cap is a transient
+/// condition, not a protocol error) and close: load shedding at the
+/// connection cap. The reply is the text line whatever protocol the
+/// peer intended — shedding happens before the first byte arrives, so
+/// negotiation never ran (a binary client recognizes the `err ` prefix
+/// where its fixed-size preamble reply would be). Best-effort — one
+/// small write, bounded by a short timeout so a hostile peer cannot
+/// stall the reactor.
+fn shed(mut stream: TcpStream) {
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+    let _ = stream.write_all(b"err busy (connection cap reached, retry shortly)\n");
 }

@@ -1,12 +1,14 @@
 //! The serving protocols as a library: the line protocol the
 //! `privtree-serve` binary speaks and the `privtree-wire v1` binary
-//! protocol (see [`crate::wire`]), embeddable in tests and benchmarks
-//! (the concurrent-TCP benchmark lane drives [`spawn_tcp`] in-process).
-//! One listener serves both protocols: a connection whose first byte is
-//! the wire preamble's `0xB7` speaks binary frames, anything else
-//! speaks the text protocol below. TCP connections are multiplexed
-//! onto a fixed reactor thread (see [`crate::reactor`]) that coalesces
-//! concurrently-arriving queries into single pooled batch dispatches.
+//! protocol (see [`crate::wire`]), embeddable in tests and benchmarks.
+//! Both protocols are decoded, executed, and rendered by one sans-IO
+//! core (`crate::session`) with two thin drivers: [`spawn_tcp`] runs a
+//! reactor thread (see `crate::reactor`) that multiplexes every TCP
+//! connection and coalesces concurrently-arriving queries into single
+//! pooled batch dispatches, and [`serve_lines`] serves one blocking
+//! reader/writer pair, such as stdin/stdout. On either transport a
+//! session whose first byte is the wire preamble's `0xB7` speaks binary
+//! frames; anything else speaks the text protocol below.
 //!
 //! Text protocol (one command per line; one reply line per command,
 //! except `batch` which replies with `n` answer lines):
@@ -48,26 +50,27 @@
 //! # Limits and lifecycle guards
 //!
 //! A listener is only as robust as its worst-behaved peer, so every
-//! connection runs under [`ServeOptions`]:
+//! session runs under fixed caps and every TCP connection under
+//! [`ServeOptions`]:
 //!
-//! * **Line cap** — a protocol line longer than
-//!   [`ServeOptions::max_line`] bytes (default [`MAX_LINE`], 64 KiB)
-//!   answers `err line too long ...` and the stream **resyncs to the
-//!   next newline**; memory per connection stays bounded no matter
-//!   what the peer sends.
-//! * **Read deadline** — [`ServeOptions::read_timeout`] bounds the
-//!   silence between bytes. A peer that connects and trickles (or
-//!   stalls entirely — the slowloris pattern) is evicted when the
-//!   deadline passes; it can never pin a connection slot open.
+//! * **Line cap** — a protocol line longer than [`MAX_LINE`] bytes
+//!   (64 KiB) answers `err line too long ...` and the stream **resyncs
+//!   to the next newline**; memory per connection stays bounded no
+//!   matter what the peer sends.
+//! * **Frame cap** — a binary-protocol frame declaring a payload
+//!   longer than [`crate::wire::MAX_FRAME`] bytes is answered with a
+//!   typed `ERRF` frame and the connection closes, before a single
+//!   payload byte is buffered — the line cap's contract, scaled to
+//!   framed batches.
+//! * **Idle deadline** — [`ServeOptions::idle_timeout`] bounds how long
+//!   a TCP peer may send nothing while idle, or take none of its
+//!   pending replies. A peer that connects and trickles, stalls
+//!   entirely (the slowloris pattern), or stops reading is evicted when
+//!   the deadline passes; it can never pin a connection slot open.
 //! * **Connection cap** — at most [`ServeOptions::max_conns`]
 //!   concurrent connections; an accept beyond the cap is answered
 //!   `err busy (connection cap reached, retry shortly)` and closed
 //!   immediately instead of queueing unboundedly.
-//! * **Frame cap** — a binary-protocol frame declaring a payload
-//!   longer than [`ServeOptions::max_frame`] bytes is answered with a
-//!   typed `ERRF` frame and the connection closes, before a single
-//!   payload byte is buffered — the line cap's contract, scaled to
-//!   framed batches.
 //! * **Panic isolation** — each command dispatch runs under
 //!   `catch_unwind`: a panicking verb answers `err internal ...` and
 //!   the connection (and every other connection) keeps serving.
@@ -82,15 +85,14 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use privtree_runtime::telemetry::{self, Counter, Gauge, Histogram, Registry, STAGES};
+use privtree_runtime::telemetry::{self, Counter, Gauge, Histogram, Registry, TickTrace, STAGES};
 use privtree_runtime::{failpoints, ShutdownSignal};
-use privtree_spatial::query::{RangeCountSynopsis, RangeQuery};
+use privtree_spatial::query::RangeQuery;
 use privtree_spatial::serialize::release_from_text;
 use privtree_spatial::sharded::ShardHandle;
 use privtree_spatial::Rect;
@@ -99,6 +101,7 @@ use privtree_store::{
     decode_release, encode_release, Catalog, CatalogMetrics, ReleaseFormat, StoreError,
 };
 
+use crate::session::{run_jobs, Session};
 use crate::{EngineError, EngineMetrics, ReleaseStore, Snapshot, SwapReport};
 
 /// Largest accepted `batch <n>`: bounds the per-batch allocation against
@@ -106,7 +109,7 @@ use crate::{EngineError, EngineMetrics, ReleaseStore, Snapshot, SwapReport};
 /// a line protocol; stream several batches for more).
 pub const MAX_BATCH: usize = 1 << 20;
 
-/// Default hard cap on one protocol line, in bytes (64 KiB). The widest
+/// Hard cap on one protocol line, in bytes (64 KiB). The widest
 /// legitimate line is a `count`/batch query — two corners of
 /// 17-significant-digit coordinates — which stays under a kilobyte even
 /// at the format's maximum dimensionality, so 64 KiB is three orders of
@@ -118,39 +121,27 @@ pub const MAX_LINE: usize = 64 * 1024;
 /// flag while parked.
 const ACCEPT_TICK: Duration = Duration::from_millis(15);
 
-/// Per-connection lifecycle limits. `Default` is the embedder profile —
-/// no read deadline (a quiet REPL or test driver is not a slowloris) —
-/// while the `privtree-serve` binary layers its flag defaults on top
-/// (`--read-timeout 30`, `--max-conns 1024`).
+/// Per-connection lifecycle limits of a TCP listener. `Default` is the
+/// embedder profile — no idle deadline (a quiet REPL or test driver is
+/// not a slowloris) — while the `privtree-serve` binary layers its flag
+/// defaults on top (`--read-timeout 30`, `--max-conns 1024`).
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Most concurrent connections before new accepts answer
     /// `err busy` and close.
     pub max_conns: usize,
-    /// Longest silence between bytes before an idle connection is
-    /// evicted (`None`: never).
-    pub read_timeout: Option<Duration>,
-    /// Longest a reply write may sit stalled on a peer that stopped
-    /// reading before the connection is evicted (`None`: never). Only
-    /// that connection's buffered replies are affected — the reactor
-    /// keeps serving everyone else either way.
-    pub write_timeout: Option<Duration>,
-    /// Hard cap on one protocol line, in bytes.
-    pub max_line: usize,
-    /// Hard cap on one binary-protocol frame payload, in bytes. A
-    /// frame declaring more is answered with a typed `ERRF` frame and
-    /// the connection closes — before any payload byte is buffered.
-    pub max_frame: u32,
+    /// Longest a connection may go without reading a byte while idle,
+    /// or without writing a byte while replies are pending, before it
+    /// is evicted (`None`: never). Only that connection is affected —
+    /// the reactor keeps serving everyone else either way.
+    pub idle_timeout: Option<Duration>,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
         Self {
             max_conns: 1024,
-            read_timeout: None,
-            write_timeout: None,
-            max_line: MAX_LINE,
-            max_frame: crate::wire::MAX_FRAME,
+            idle_timeout: None,
         }
     }
 }
@@ -414,20 +405,11 @@ impl ServeContext {
     /// verb persists its mutation through the catalog **before**
     /// acking.
     pub fn with_catalog(store: ReleaseStore, mut catalog: Catalog) -> Self {
-        let journal = catalog.journaling();
-        let metrics = ServeMetrics::register(Arc::new(Registry::new()));
-        store.attach_metrics(Arc::clone(&metrics.engine));
-        catalog.attach_metrics(CatalogMetrics::register(&metrics.registry));
-        Self {
-            store,
-            catalog: Some(Mutex::new(catalog)),
-            mmap: true,
-            quarantined: Vec::new(),
-            metrics,
-            slowlog: SlowLog::default(),
-            started: Instant::now(),
-            journal,
-        }
+        let mut ctx = Self::new(store);
+        catalog.attach_metrics(CatalogMetrics::register(&ctx.metrics.registry));
+        ctx.journal = catalog.journaling();
+        ctx.catalog = Some(Mutex::new(catalog));
+        ctx
     }
 
     /// Whether mutations are journaled through the attached catalog.
@@ -641,90 +623,6 @@ pub fn report_line(r: &SwapReport) -> String {
     )
 }
 
-/// What [`read_raw_line`] found on the stream.
-enum RawLine {
-    /// End of input before any byte of a new line.
-    Eof,
-    /// A complete line (stripped of `\r\n`) is in the buffer.
-    Line,
-    /// The line exceeded the cap; the stream is already resynced past
-    /// its terminating newline (or at EOF) and the buffer is empty.
-    TooLong,
-}
-
-/// Read one raw line (stripped of `\r\n`) into `buf`, refusing to
-/// buffer more than `max_line` bytes. Raw bytes, not `str`: a line that
-/// is not valid UTF-8 must reach the protocol loop so it can answer
-/// `err` instead of poisoning the stream the way `BufRead::lines`'
-/// `InvalidData` error would. An oversized line is consumed up to and
-/// including its newline — so the next read starts on the next command
-/// — while the buffer stays capped at `max_line` bytes.
-fn read_raw_line(
-    input: &mut impl BufRead,
-    buf: &mut Vec<u8>,
-    max_line: usize,
-) -> io::Result<RawLine> {
-    if let Err(failure) = failpoints::check("serve.read") {
-        return Err(io::Error::other(failure.to_string()));
-    }
-    buf.clear();
-    let mut overflowed = false;
-    loop {
-        let available = input.fill_buf()?;
-        if available.is_empty() {
-            // EOF: an unterminated final line still counts as a line
-            if overflowed {
-                return Ok(RawLine::TooLong);
-            }
-            if buf.is_empty() {
-                return Ok(RawLine::Eof);
-            }
-            break;
-        }
-        match available.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                if !overflowed && buf.len() + pos > max_line {
-                    overflowed = true;
-                    buf.clear();
-                }
-                if !overflowed {
-                    buf.extend_from_slice(&available[..pos]);
-                }
-                input.consume(pos + 1);
-                if overflowed {
-                    return Ok(RawLine::TooLong);
-                }
-                break;
-            }
-            None => {
-                let n = available.len();
-                if !overflowed && buf.len() + n > max_line {
-                    overflowed = true;
-                    buf.clear();
-                }
-                if !overflowed {
-                    buf.extend_from_slice(available);
-                }
-                input.consume(n);
-            }
-        }
-    }
-    while matches!(buf.last(), Some(b'\r')) {
-        buf.pop();
-    }
-    Ok(RawLine::Line)
-}
-
-/// Write one reply line and flush it to the peer.
-fn reply(out: &mut dyn Write, text: &str) -> io::Result<()> {
-    if let Err(failure) = failpoints::check("serve.write") {
-        return Err(io::Error::other(failure.to_string()));
-    }
-    out.write_all(text.as_bytes())?;
-    out.write_all(b"\n")?;
-    out.flush()
-}
-
 /// Persist the serving release `key` into the attached catalog.
 fn save_verb(ctx: &ServeContext, key: &str) -> Result<String, String> {
     let snap = ctx.store.snapshot();
@@ -777,143 +675,12 @@ fn load_verb(ctx: &ServeContext, key: &str) -> Result<SwapReport, String> {
     op.map_err(|e| e.to_string())
 }
 
-/// Whether the protocol loop keeps reading after a command.
-enum Flow {
-    Continue,
-    Quit,
-}
-
-/// Best-effort description of a panic payload for the `err internal`
-/// reply.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Dispatch one already-read command line. Reads further lines from
-/// `input` only for `batch`. Every failure answers `err ...`; only a
-/// real I/O error propagates.
-fn dispatch(
-    ctx: &ServeContext,
-    line: &str,
-    input: &mut impl BufRead,
-    out: &mut dyn Write,
-    qraw: &mut Vec<u8>,
-    opts: &ServeOptions,
-) -> io::Result<Flow> {
-    let mut fields = line.split_whitespace();
-    let command = fields.next().unwrap_or_default();
-    match command {
-        "count" => {
-            let snap = ctx.store.snapshot();
-            match (fields.next(), fields.next()) {
-                (Some(lo), Some(hi)) => match parse_query(snap.dims(), lo, hi) {
-                    Ok(q) => {
-                        let start = ctx.clocked().then(Instant::now);
-                        let answer = snap.answer(&q);
-                        if let Some(t) = start {
-                            let us = t.elapsed().as_micros() as u64;
-                            ctx.observe_request(&snap, "text", std::slice::from_ref(&q), us, us);
-                        }
-                        reply(out, &format!("{answer:.17e}"))?
-                    }
-                    Err(e) => reply(out, &format!("err {e}"))?,
-                },
-                _ => reply(out, "err count needs <lo> <hi>")?,
-            }
-        }
-        "batch" => {
-            let snap = ctx.store.snapshot();
-            let n: usize = match fields.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n <= MAX_BATCH => n,
-                Some(n) => {
-                    reply(
-                        out,
-                        &format!("err batch of {n} exceeds the {MAX_BATCH}-query cap"),
-                    )?;
-                    return Ok(Flow::Continue);
-                }
-                None => {
-                    reply(out, "err batch needs a query count")?;
-                    return Ok(Flow::Continue);
-                }
-            };
-            // always drain all n lines, even past a bad one — a batch
-            // failure must reply exactly one err line and leave the
-            // stream aligned on the next command
-            let mut queries = Vec::with_capacity(n);
-            let mut problem: Option<String> = None;
-            for _ in 0..n {
-                match read_raw_line(input, qraw, opts.max_line)? {
-                    RawLine::Eof => {
-                        problem = Some("unexpected end of input inside batch".into());
-                        break;
-                    }
-                    RawLine::TooLong => {
-                        ctx.metrics.line_resyncs.inc();
-                        if problem.is_none() {
-                            problem = Some(format!("line too long (max {} bytes)", opts.max_line));
-                        }
-                        continue;
-                    }
-                    RawLine::Line => {}
-                }
-                if problem.is_some() {
-                    continue;
-                }
-                let Ok(qline) = std::str::from_utf8(qraw) else {
-                    problem = Some("batch line is not valid utf-8".into());
-                    continue;
-                };
-                let mut parts = qline.split_whitespace();
-                match (parts.next(), parts.next()) {
-                    (Some(lo), Some(hi)) => match parse_query(snap.dims(), lo, hi) {
-                        Ok(q) => queries.push(q),
-                        Err(e) => problem = Some(e),
-                    },
-                    _ => problem = Some(format!("bad batch line: {qline}")),
-                }
-            }
-            match problem {
-                Some(e) => reply(out, &format!("err {e}"))?,
-                None => {
-                    // the pooled / Morton-batched read path; the whole
-                    // reply is rendered into one buffer and written in
-                    // a single call — a million answers used to be a
-                    // million small writes through the BufWriter
-                    let start = ctx.clocked().then(Instant::now);
-                    let answers = snap.answer_batch(&queries);
-                    if let Some(t) = start {
-                        let us = t.elapsed().as_micros() as u64;
-                        ctx.observe_request(&snap, "text", &queries, us, us);
-                    }
-                    let mut rendered = String::with_capacity(answers.len() * 26);
-                    for a in answers {
-                        use std::fmt::Write as _;
-                        let _ = writeln!(rendered, "{a:.17e}");
-                    }
-                    out.write_all(rendered.as_bytes())?;
-                    out.flush()?;
-                }
-            }
-        }
-        "quit" => return Ok(Flow::Quit),
-        _ => reply(out, &control_reply(ctx, line))?,
-    }
-    Ok(Flow::Continue)
-}
-
 /// Execute one control verb — everything except the stream-coupled
-/// `count`/`batch`/`quit` — and render its reply line. Shared by the
-/// stdin protocol loop and the TCP reactor, so mutations keep the
-/// identical journal-before-ack ordering on both front ends: the
-/// returned `ok` line exists only after the catalog persist inside the
-/// store op has completed.
+/// `count`/`batch`/`quit` — and render its reply line. Every session
+/// runs its control verbs through here, so mutations keep the same
+/// journal-before-ack ordering on both transports: the returned `ok`
+/// line exists only after the catalog persist inside the store op has
+/// completed.
 pub(crate) fn control_reply(ctx: &ServeContext, line: &str) -> String {
     let mut fields = line.split_whitespace();
     let command = fields.next().unwrap_or_default();
@@ -1112,72 +879,43 @@ pub(crate) fn control_reply(ctx: &ServeContext, line: &str) -> String {
     }
 }
 
-/// Run the line protocol over one input/output pair until EOF or `quit`,
-/// with default options (no deadlines, [`MAX_LINE`] line cap) and no
-/// shutdown signal.
-pub fn serve_lines(ctx: &ServeContext, input: impl BufRead, out: impl Write) -> io::Result<()> {
-    serve_lines_with(ctx, input, out, &ServeOptions::default(), None)
-}
-
-/// Run the line protocol over one input/output pair until EOF, `quit`,
-/// an I/O failure, or — checked between commands — a tripped shutdown
-/// signal. Oversized lines answer `err line too long ...` and resync; a
-/// command that panics answers `err internal ...` and the session keeps
-/// serving.
-pub fn serve_lines_with(
+/// Serve one session over a blocking input/output pair (stdin/stdout,
+/// in-memory buffers) until EOF, `quit`, or an I/O failure. Either
+/// protocol works: a first byte of `0xB7` negotiates `privtree-wire v1`
+/// exactly as on TCP. At most one line is fed per read, and each
+/// command's replies are written and flushed before the next read, so
+/// an interactive peer sees every answer before it types the next
+/// command.
+pub fn serve_lines(
     ctx: &ServeContext,
     mut input: impl BufRead,
-    out: impl Write,
-    opts: &ServeOptions,
-    shutdown: Option<&ShutdownSignal>,
+    mut out: impl Write,
 ) -> io::Result<()> {
-    // buffer the writes: replies flush at command boundaries, so a batch
-    // of a million answers costs a handful of write syscalls instead of
-    // one per line (stdout's LineWriter and raw TcpStreams both would)
-    let mut out = io::BufWriter::new(out);
-    let mut raw = Vec::new();
-    let mut qraw = Vec::new();
-    loop {
-        if shutdown.is_some_and(|s| s.is_triggered()) {
-            break;
+    let mut session = Session::default();
+    // the stage histograms are the reactor's; this trace is never
+    // recorded
+    let mut trace = TickTrace::new();
+    let failpoint = |name| failpoints::check(name).map_err(|f| io::Error::other(f.to_string()));
+    while !session.done() {
+        failpoint("serve.read")?;
+        // one line per read (nothing at EOF, which ends the input)
+        let available = input.fill_buf()?;
+        let n = available
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(available.len(), |pos| pos + 1);
+        session.feed(&available[..n]);
+        input.consume(n);
+        if !session.ingest(ctx) {
+            return Err(io::Error::other("protocol decoder panicked"));
         }
-        match read_raw_line(&mut input, &mut raw, opts.max_line)? {
-            RawLine::Eof => break,
-            RawLine::TooLong => {
-                ctx.metrics.line_resyncs.inc();
-                reply(
-                    &mut out,
-                    &format!("err line too long (max {} bytes)", opts.max_line),
-                )?;
-                continue;
-            }
-            RawLine::Line => {}
-        }
-        let Ok(line) = std::str::from_utf8(&raw) else {
-            reply(&mut out, "err line is not valid utf-8")?;
-            continue;
-        };
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        // panic isolation: a bug in one verb answers `err internal` and
-        // the session keeps serving. (A panic inside `batch`'s query
-        // reads could leave unread batch lines on the stream; the peer
-        // sees them answered as unknown commands — still `err`, never a
-        // dead stream.)
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            dispatch(ctx, line, &mut input, &mut out, &mut qraw, opts)
-        }));
-        match outcome {
-            Ok(flow) => match flow? {
-                Flow::Continue => {}
-                Flow::Quit => break,
-            },
-            Err(payload) => reply(
-                &mut out,
-                &format!("err internal: {}", panic_message(payload.as_ref())),
-            )?,
+        run_jobs(std::slice::from_mut(&mut session), ctx, &mut trace);
+        let pending = session.output().len();
+        if pending > 0 {
+            failpoint("serve.write")?;
+            out.write_all(session.output())?;
+            out.flush()?;
+            session.consume_output(pending);
         }
     }
     Ok(())
@@ -1264,9 +1002,9 @@ pub fn spawn_tcp(ctx: Arc<ServeContext>, addr: &str) -> Result<ServerHandle, Str
 
 /// Bind `addr` and serve connections under the given lifecycle options,
 /// draining when `shutdown` trips. All connections — text and binary —
-/// are multiplexed onto one reactor thread (see [`crate::reactor`])
+/// are multiplexed onto one reactor thread (see `crate::reactor`)
 /// that enforces [`ServeOptions::max_conns`] (excess accepts answer
-/// `err busy` and close), evicts deadline violators, and coalesces
+/// `err busy` and close), evicts idle-deadline violators, and coalesces
 /// concurrently-arriving queries into pooled batch dispatches.
 pub fn spawn_tcp_with(
     ctx: Arc<ServeContext>,
@@ -1303,17 +1041,4 @@ pub fn spawn_tcp_with(
         active,
         abort,
     })
-}
-
-/// Answer `err busy` (with a retry hint — the cap is a transient
-/// condition, not a protocol error) and close: load shedding at the
-/// connection cap. The reply is the text line whatever protocol the
-/// peer intended — shedding happens before the first byte arrives, so
-/// negotiation never ran (a binary client recognizes the `err ` prefix
-/// where its fixed-size preamble reply would be). Best-effort — one
-/// small write, bounded by a short timeout so a hostile peer cannot
-/// stall the reactor.
-pub(crate) fn shed(mut stream: TcpStream) {
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let _ = stream.write_all(b"err busy (connection cap reached, retry shortly)\n");
 }

@@ -1,0 +1,784 @@
+//! The serving protocols as a sans-IO state machine: a [`Session`]
+//! takes the bytes a peer sent and hands back the bytes to send it — no
+//! sockets and no blocking.
+//!
+//! A session negotiates its protocol on the first byte (the wire
+//! preamble's `0xB7` means `privtree-wire v1` frames, anything else the
+//! text line protocol), decodes complete lines and frames into a job
+//! queue, and renders every reply into one output buffer.
+//! [`run_jobs`] executes the leading jobs of any number of sessions,
+//! coalescing their queries into **one pooled dispatch** through
+//! [`privtree_runtime::Coalescer`] and scattering each session's
+//! answers back into its own output. The TCP reactor drives every
+//! connection of a listener through one [`run_jobs`] call per tick;
+//! [`crate::serve::serve_lines`] drives a single session over a
+//! blocking reader. Both record the same request telemetry
+//! (`request_us`, `coalesced_*`, `wire_frames_*`, `line_resyncs_total`,
+//! the slow-query log); transport telemetry stays in the reactor.
+//!
+//! Correctness invariants, all pinned by the serve test suites:
+//!
+//! * **Per-session order** — jobs execute strictly in arrival order:
+//!   queries queued before a mutation are answered from the
+//!   pre-mutation snapshot taken when their dispatch ran, and their
+//!   replies are rendered before the mutation's `ok`.
+//! * **Bit identity** — coalescing is pure concatenation and the batch
+//!   answerers are per-item, so a coalesced answer is bit-identical to
+//!   a solo dispatch of the same query (and to the text protocol's
+//!   `%.17e` rendering of it).
+//! * **Panic isolation** — every dispatch and control verb runs under
+//!   `catch_unwind`, so one panicking command answers
+//!   `err internal ...` (text) or an `ERRF` frame (binary) while every
+//!   session keeps serving; a panicking decoder ends only its session.
+//! * **Journal-before-ack** — control verbs execute through
+//!   [`control_reply`], whose `ok` line exists only after the catalog
+//!   persist completed, and it is rendered after every earlier reply.
+
+use std::collections::VecDeque;
+use std::fmt::Write as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Instant;
+
+use privtree_runtime::telemetry::{Stage, TickTrace};
+use privtree_runtime::Coalescer;
+use privtree_spatial::query::RangeQuery;
+use privtree_store::frame::{parse_header, payload, FrameError};
+
+use crate::serve::{
+    control_reply, exposition_lines, parse_query, ServeContext, MAX_BATCH, MAX_LINE,
+};
+use crate::wire;
+
+/// What protocol a session speaks, decided by its first byte.
+#[derive(Default)]
+enum Proto {
+    /// Nothing read yet.
+    #[default]
+    Pending,
+    /// The line protocol, with its incremental decode state.
+    Text(TextState),
+    /// `privtree-wire v1` frames.
+    Wire,
+}
+
+/// Incremental text-protocol decode state.
+#[derive(Default)]
+struct TextState {
+    /// Discarding an oversized line up to its newline (the resync the
+    /// line cap promises).
+    skipping: bool,
+    /// Bytes of the current partial line already searched for its
+    /// newline, so a line that arrives in k pieces is scanned once
+    /// rather than k times.
+    scanned: usize,
+    /// An open `batch <n>` still collecting its query lines.
+    batch: Option<BatchState>,
+}
+
+/// A `batch <n>` mid-collection.
+struct BatchState {
+    /// Query lines still owed.
+    remaining: usize,
+    /// Parsed queries so far (abandoned once `problem` is set).
+    queries: Vec<RangeQuery>,
+    /// First failure; the batch still drains all `n` lines so the
+    /// stream stays aligned, then answers this one `err`.
+    problem: Option<String>,
+    /// Dimensionality captured when the batch opened.
+    dims: usize,
+    /// When the `batch` command decoded (request latency starts at the
+    /// command, not its last query line). `None` when nothing clocks.
+    created: Option<Instant>,
+}
+
+/// How to render a dispatch's answers back to the session.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// One `%.17e` line per answer (`count`, `batch`).
+    Text,
+    /// One `ANSV` frame, CRC'd iff the request was.
+    Wire { crc: bool },
+}
+
+/// One unit of work a session has queued, in arrival order.
+enum Job {
+    /// Queries awaiting a (coalesced) pooled dispatch.
+    Queries {
+        queries: Vec<RangeQuery>,
+        shape: Shape,
+        /// Decode time, for the per-protocol request-latency histogram
+        /// and the slow-query log. `None` when nothing clocks.
+        created: Option<Instant>,
+    },
+    /// A control verb line for [`control_reply`].
+    Control(String),
+    /// Bytes already rendered at decode time (errors, `HELO`).
+    Reply(Vec<u8>),
+    /// Render everything queued before this, then close.
+    Quit,
+}
+
+/// What one scan of the text input produced.
+enum TextEvent {
+    /// A complete line (already consumed from the input).
+    Line(Vec<u8>),
+    /// An oversized line was discarded through its newline.
+    TooLong,
+    /// Need more bytes.
+    Incomplete,
+}
+
+/// One peer's protocol state: undecoded input, queued jobs, and
+/// rendered output. The driver [`feed`](Session::feed)s bytes, calls
+/// [`ingest`](Session::ingest), runs [`run_jobs`], and sends
+/// [`output`](Session::output) until the session is
+/// [`done`](Session::done).
+#[derive(Default)]
+pub(crate) struct Session {
+    proto: Proto,
+    /// Raw undecoded input. Bounded: complete lines and frames leave it
+    /// on every ingest, so it holds at most one incomplete line/frame
+    /// plus what was fed since.
+    inbuf: Vec<u8>,
+    /// How much of `inbuf` has been decoded this pass. A cursor rather
+    /// than per-event `drain`: draining the buffer once per line would
+    /// memmove the whole remaining batch payload every line (quadratic
+    /// in the buffered bytes); instead the consumed prefix is compacted
+    /// once after each ingest pass.
+    inpos: usize,
+    jobs: VecDeque<Job>,
+    /// Rendered replies not yet sent, in reply order.
+    outbuf: Vec<u8>,
+    /// How much of `outbuf` has been sent.
+    outpos: usize,
+    /// Send the output, then close (a `quit`, or a fatal protocol
+    /// error whose reply is already rendered).
+    closing: bool,
+    /// The peer's input ended; finalize once `inbuf` is decoded.
+    eof: bool,
+    /// EOF finalization already ran.
+    eof_done: bool,
+}
+
+impl AsMut<Session> for Session {
+    fn as_mut(&mut self) -> &mut Session {
+        self
+    }
+}
+
+impl Session {
+    /// Append bytes the peer sent, for [`Session::ingest`] to decode;
+    /// an empty slice means the peer's input ended.
+    pub(crate) fn feed(&mut self, bytes: &[u8]) {
+        self.eof |= bytes.is_empty();
+        self.inbuf.extend_from_slice(bytes);
+    }
+
+    /// Whether the session still reads input (not closing, no EOF).
+    pub(crate) fn wants_input(&self) -> bool {
+        !self.closing && !self.eof
+    }
+
+    /// Whether nothing more will be rendered (closing, or the input
+    /// ended and its jobs ran): close once the output is sent.
+    pub(crate) fn done(&self) -> bool {
+        self.closing || (self.eof_done && self.jobs.is_empty())
+    }
+
+    /// Jobs decoded but not yet run.
+    pub(crate) fn queued(&self) -> usize {
+        self.jobs.len()
+    }
+
+    /// The negotiated protocol, `"text"` or `"wire"`.
+    pub(crate) fn protocol(&self) -> Option<&'static str> {
+        match self.proto {
+            Proto::Pending => None,
+            Proto::Text(_) => Some("text"),
+            Proto::Wire => Some("wire"),
+        }
+    }
+
+    /// Rendered bytes not yet sent.
+    pub(crate) fn output(&self) -> &[u8] {
+        &self.outbuf[self.outpos..]
+    }
+
+    /// Mark the first `n` bytes of [`Session::output`] as sent.
+    pub(crate) fn consume_output(&mut self, n: usize) {
+        self.outpos += n;
+        if self.outpos >= self.outbuf.len() {
+            self.outbuf.clear();
+            self.outpos = 0;
+        }
+    }
+
+    /// Decode everything decodable in the input into jobs, negotiating
+    /// the protocol on the first byte, then finalize EOF once the input
+    /// is spent. Returns `false` if the decoder panicked: the queued
+    /// jobs are dropped and the driver should close the session — a
+    /// decode bug ends one session, never the server.
+    pub(crate) fn ingest(&mut self, ctx: &ServeContext) -> bool {
+        if catch_unwind(AssertUnwindSafe(|| self.ingest_negotiated(ctx))).is_err() {
+            self.jobs.clear();
+            return false;
+        }
+        // compact the consumed prefix once per pass (see `inpos`)
+        self.inbuf.drain(..self.inpos.min(self.inbuf.len()));
+        self.inpos = 0;
+        true
+    }
+
+    /// Queue a text reply line.
+    fn push_line(&mut self, line: &str) {
+        self.jobs
+            .push_back(Job::Reply(format!("{line}\n").into_bytes()));
+    }
+
+    /// Queue an `ERRF` frame; `close` also queues the quit that makes
+    /// it the session's last words.
+    fn push_err_frame(&mut self, ctx: &ServeContext, code: u16, message: &str, close: bool) {
+        let mut bytes = Vec::new();
+        wire::encode_err_frame_into(&mut bytes, code, message);
+        ctx.metrics.wire_frames_out.inc();
+        self.jobs.push_back(Job::Reply(bytes));
+        if close {
+            self.jobs.push_back(Job::Quit);
+        }
+    }
+
+    /// [`Session::ingest`]'s body: negotiate, then decode via the
+    /// cursor.
+    fn ingest_negotiated(&mut self, ctx: &ServeContext) {
+        if matches!(self.proto, Proto::Pending) {
+            if self.inbuf.is_empty() {
+                self.eof_done = self.eof;
+                return;
+            }
+            if self.inbuf[0] == wire::PREAMBLE[0] {
+                if self.inbuf.len() < wire::PREAMBLE.len() {
+                    self.eof_done = self.eof; // a truncated preamble closes
+                    return;
+                }
+                if self.inbuf[..4] == wire::PREAMBLE {
+                    self.inbuf.drain(..4);
+                    self.proto = Proto::Wire;
+                    let mut hello = Vec::new();
+                    wire::encode_hello_frame_into(&mut hello, ctx.store.snapshot().dims());
+                    ctx.metrics.wire_frames_out.inc();
+                    self.jobs.push_back(Job::Reply(hello));
+                } else {
+                    self.proto = Proto::Wire; // it tried to speak binary
+                    self.push_err_frame(ctx, wire::ERR_BAD_FRAME, "bad preamble", true);
+                    self.inbuf.clear();
+                    return;
+                }
+            } else {
+                self.proto = Proto::Text(TextState::default());
+            }
+        }
+        match self.proto {
+            Proto::Pending => unreachable!("negotiated above"),
+            Proto::Text(_) => self.ingest_text(ctx),
+            Proto::Wire => self.ingest_wire(ctx),
+        }
+    }
+
+    /// Extract the next line event from the input, honoring
+    /// skip-to-newline resync and the line cap.
+    fn next_text_event(&mut self) -> TextEvent {
+        let Proto::Text(state) = &mut self.proto else {
+            return TextEvent::Incomplete;
+        };
+        if state.skipping {
+            match self.inbuf[self.inpos..].iter().position(|&b| b == b'\n') {
+                Some(pos) => {
+                    self.inpos += pos + 1;
+                    state.skipping = false;
+                    return TextEvent::TooLong;
+                }
+                None => {
+                    self.inbuf.clear(); // keep discarding, stay bounded
+                    self.inpos = 0;
+                    return TextEvent::Incomplete;
+                }
+            }
+        }
+        let scanned = state.scanned;
+        let newline = self.inbuf[self.inpos + scanned..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map(|pos| scanned + pos);
+        state.scanned = 0;
+        match newline {
+            Some(pos) if pos > MAX_LINE => {
+                self.inpos += pos + 1;
+                TextEvent::TooLong
+            }
+            Some(pos) => {
+                let mut line = self.inbuf[self.inpos..self.inpos + pos].to_vec();
+                self.inpos += pos + 1;
+                while matches!(line.last(), Some(b'\r')) {
+                    line.pop();
+                }
+                TextEvent::Line(line)
+            }
+            None if self.inbuf.len() - self.inpos > MAX_LINE => {
+                self.inbuf.clear();
+                self.inpos = 0;
+                state.skipping = true;
+                TextEvent::Incomplete
+            }
+            None => {
+                state.scanned = self.inbuf.len() - self.inpos;
+                TextEvent::Incomplete
+            }
+        }
+    }
+
+    /// Decode complete text lines into jobs until the input runs dry,
+    /// then finalize EOF (unterminated final line, truncated batch,
+    /// quit).
+    fn ingest_text(&mut self, ctx: &ServeContext) {
+        loop {
+            match self.next_text_event() {
+                TextEvent::Incomplete => break,
+                TextEvent::TooLong => self.line_too_long(ctx),
+                TextEvent::Line(line) => self.text_line(ctx, &line),
+            }
+        }
+        if !self.eof || self.eof_done {
+            return;
+        }
+        let Proto::Text(state) = &mut self.proto else {
+            return;
+        };
+        if state.skipping {
+            state.skipping = false;
+            self.line_too_long(ctx);
+        } else if self.inpos < self.inbuf.len() {
+            // an unterminated final line still counts as a line
+            state.scanned = 0;
+            let line = self.inbuf[self.inpos..].to_vec();
+            self.inbuf.clear();
+            self.inpos = 0;
+            self.text_line(ctx, &line);
+        }
+        if let Proto::Text(state) = &mut self.proto {
+            if state.batch.take().is_some() {
+                self.push_line("err unexpected end of input inside batch");
+            }
+        }
+        self.jobs.push_back(Job::Quit);
+        self.eof_done = true;
+    }
+
+    /// An oversized line was discarded through its newline: one `err`
+    /// reply, or the open batch's failure.
+    fn line_too_long(&mut self, ctx: &ServeContext) {
+        ctx.metrics.line_resyncs.inc();
+        let problem = format!("line too long (max {MAX_LINE} bytes)");
+        if matches!(&self.proto, Proto::Text(s) if s.batch.is_some()) {
+            self.batch_line(Err(problem));
+        } else {
+            self.push_line(&format!("err {problem}"));
+        }
+    }
+
+    /// Count one query line toward the open batch: a parsed query joins
+    /// it unless an earlier line failed, and only the first failure is
+    /// kept. The batch drains all `n` lines so the stream stays
+    /// aligned, then closes out into its job (queries or one `err`).
+    fn batch_line(&mut self, line: Result<RangeQuery, String>) {
+        let Proto::Text(state) = &mut self.proto else {
+            return;
+        };
+        let Some(batch) = &mut state.batch else {
+            return;
+        };
+        match line {
+            Ok(q) if batch.problem.is_none() => batch.queries.push(q),
+            Ok(_) => {}
+            Err(e) => {
+                batch.problem.get_or_insert(e);
+            }
+        }
+        batch.remaining -= 1;
+        if batch.remaining > 0 {
+            return;
+        }
+        let Some(batch) = state.batch.take() else {
+            return;
+        };
+        match batch.problem {
+            Some(e) => self.push_line(&format!("err {e}")),
+            None => self.jobs.push_back(Job::Queries {
+                queries: batch.queries,
+                shape: Shape::Text,
+                created: batch.created,
+            }),
+        }
+    }
+
+    /// Route one complete text line: a batch query line if a batch is
+    /// open, a command otherwise.
+    fn text_line(&mut self, ctx: &ServeContext, raw: &[u8]) {
+        if let Proto::Text(TextState {
+            batch: Some(batch), ..
+        }) = &self.proto
+        {
+            let parsed = match std::str::from_utf8(raw) {
+                Err(_) => Err("batch line is not valid utf-8".to_string()),
+                Ok(qline) => {
+                    let mut parts = qline.split_whitespace();
+                    match (parts.next(), parts.next()) {
+                        (Some(lo), Some(hi)) => parse_query(batch.dims, lo, hi),
+                        _ => Err(format!("bad batch line: {qline}")),
+                    }
+                }
+            };
+            self.batch_line(parsed);
+            return;
+        }
+        let Ok(line) = std::str::from_utf8(raw) else {
+            self.push_line("err line is not valid utf-8");
+            return;
+        };
+        let line = line.trim();
+        if line.is_empty() {
+            return;
+        }
+        let mut fields = line.split_whitespace();
+        match fields.next().unwrap_or_default() {
+            "count" => {
+                let snap = ctx.store.snapshot();
+                match (fields.next(), fields.next()) {
+                    (Some(lo), Some(hi)) => match parse_query(snap.dims(), lo, hi) {
+                        Ok(q) => self.jobs.push_back(Job::Queries {
+                            queries: vec![q],
+                            shape: Shape::Text,
+                            created: ctx.clocked().then(Instant::now),
+                        }),
+                        Err(e) => self.push_line(&format!("err {e}")),
+                    },
+                    _ => self.push_line("err count needs <lo> <hi>"),
+                }
+            }
+            "batch" => {
+                let n: usize = match fields.next().and_then(|v| v.parse().ok()) {
+                    Some(n) if n <= MAX_BATCH => n,
+                    Some(n) => {
+                        self.push_line(&format!(
+                            "err batch of {n} exceeds the {MAX_BATCH}-query cap"
+                        ));
+                        return;
+                    }
+                    None => {
+                        self.push_line("err batch needs a query count");
+                        return;
+                    }
+                };
+                let created = ctx.clocked().then(Instant::now);
+                let dims = ctx.store.snapshot().dims();
+                if n == 0 {
+                    self.jobs.push_back(Job::Queries {
+                        queries: Vec::new(),
+                        shape: Shape::Text,
+                        created,
+                    });
+                    return;
+                }
+                if let Proto::Text(state) = &mut self.proto {
+                    state.batch = Some(BatchState {
+                        remaining: n,
+                        queries: Vec::with_capacity(n.min(1 << 16)),
+                        problem: None,
+                        dims,
+                        created,
+                    });
+                }
+            }
+            "quit" => self.jobs.push_back(Job::Quit),
+            _ => self.jobs.push_back(Job::Control(line.to_string())),
+        }
+    }
+
+    /// Decode complete binary frames into jobs until the input runs
+    /// dry, then finalize EOF (a truncated frame is a clean close — no
+    /// reply target exists for half a frame).
+    fn ingest_wire(&mut self, ctx: &ServeContext) {
+        loop {
+            let header = match parse_header(&self.inbuf[self.inpos..], wire::MAX_FRAME) {
+                Ok(None) => break,
+                Ok(Some(header)) => header,
+                Err(e) => {
+                    ctx.metrics.wire_frames_in.inc();
+                    let code = match e {
+                        FrameError::Oversized { .. } => wire::ERR_OVERSIZED,
+                        _ => wire::ERR_BAD_FRAME,
+                    };
+                    self.push_err_frame(ctx, code, &e.to_string(), true);
+                    self.inbuf.clear();
+                    self.inpos = 0;
+                    return;
+                }
+            };
+            if self.inbuf.len() - self.inpos < header.total_len() {
+                break; // bounded: len already validated against MAX_FRAME
+            }
+            let frame = self.inbuf[self.inpos..self.inpos + header.total_len()].to_vec();
+            self.inpos += header.total_len();
+            ctx.metrics.wire_frames_in.inc();
+            let body = match payload(&header, &frame) {
+                Ok(body) => body,
+                Err(e) => {
+                    // the full frame was consumed, so the stream is still
+                    // aligned: a corrupted payload keeps the session alive
+                    self.push_err_frame(ctx, wire::ERR_CHECKSUM, &e.to_string(), false);
+                    continue;
+                }
+            };
+            match header.tag {
+                wire::TAG_QUERY => {
+                    let dims = ctx.store.snapshot().dims();
+                    match wire::decode_query_payload(body, dims) {
+                        Ok(queries) => self.jobs.push_back(Job::Queries {
+                            queries,
+                            shape: Shape::Wire {
+                                crc: header.has_crc(),
+                            },
+                            created: ctx.clocked().then(Instant::now),
+                        }),
+                        Err(e) => self.push_err_frame(ctx, wire::ERR_BAD_QUERY, &e, false),
+                    }
+                }
+                wire::TAG_METRICS => {
+                    // the binary `metrics` verb: rendered at decode time
+                    // (like `HELO`) and queued as a reply, so it lands in
+                    // per-session order behind earlier frames
+                    let mut text = exposition_lines(ctx).join("\n");
+                    text.push('\n');
+                    let mut bytes = Vec::new();
+                    wire::encode_metrics_frame_into(&mut bytes, &text, header.has_crc());
+                    ctx.metrics.wire_frames_out.inc();
+                    self.jobs.push_back(Job::Reply(bytes));
+                }
+                wire::TAG_QUIT => {
+                    self.jobs.push_back(Job::Quit);
+                    self.inbuf.clear();
+                    self.inpos = 0;
+                    return;
+                }
+                other => {
+                    let msg = format!("unexpected frame {:?}", String::from_utf8_lossy(&other));
+                    self.push_err_frame(ctx, wire::ERR_BAD_FRAME, &msg, true);
+                    self.inbuf.clear();
+                    self.inpos = 0;
+                    return;
+                }
+            }
+        }
+        if self.eof && !self.eof_done {
+            self.jobs.push_back(Job::Quit);
+            self.eof_done = true;
+        }
+    }
+}
+
+/// `internal: <panic message>` — the failure a panicking command
+/// answers (after `err ` on text, in an `ERRF` frame on the wire).
+fn internal_error(payload: &(dyn std::any::Any + Send)) -> String {
+    let message = if let Some(s) = payload.downcast_ref::<&str>() {
+        *s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.as_str()
+    } else {
+        "non-string panic payload"
+    };
+    format!("internal: {message}")
+}
+
+/// Run every queued job of every session to completion, in per-session
+/// order, in rounds: first every session's *leading* query jobs
+/// coalesce into one pooled dispatch (the cross-session batching the
+/// reactor exists for), then leading non-query jobs execute, until no
+/// job remains. A session's query queued before its mutation is always
+/// dispatched — and its reply rendered — before the mutation runs. The
+/// `coalesce`, `dispatch` and `scatter` stages are charged to `trace`.
+pub(crate) fn run_jobs<S: AsMut<Session>>(
+    sessions: &mut [S],
+    ctx: &ServeContext,
+    trace: &mut TickTrace,
+) {
+    loop {
+        let mut progressed = false;
+
+        // gather leading query jobs across every session (the
+        // `coalesce` stage, charged only when something gathered)
+        let gather_start = trace.capturing().then(Instant::now);
+        let mut co: Coalescer<(usize, Shape), RangeQuery> = Coalescer::new();
+        let mut metas: Vec<QueryMeta> = Vec::new();
+        for (i, session) in sessions.iter_mut().enumerate() {
+            let session = session.as_mut();
+            if session.closing {
+                continue;
+            }
+            while let Some(Job::Queries { .. }) = session.jobs.front() {
+                let Some(Job::Queries {
+                    queries,
+                    shape,
+                    created,
+                }) = session.jobs.pop_front()
+                else {
+                    unreachable!("front was a query job");
+                };
+                metas.push(QueryMeta {
+                    shape,
+                    created,
+                    offset: co.len(),
+                    len: queries.len(),
+                });
+                co.push((i, shape), queries);
+                progressed = true;
+            }
+        }
+        if !co.is_empty() {
+            if let Some(t) = gather_start {
+                trace.add_us(Stage::Coalesce, t.elapsed().as_micros() as u64);
+            }
+            dispatch(sessions, ctx, &co, &metas, trace);
+        }
+
+        // leading non-query jobs: control verbs, rendered replies, quit
+        for session in sessions.iter_mut() {
+            let session = session.as_mut();
+            if session.closing {
+                continue;
+            }
+            while !matches!(session.jobs.front(), None | Some(Job::Queries { .. })) {
+                let job = session.jobs.pop_front().expect("front checked");
+                progressed = true;
+                match job {
+                    Job::Queries { .. } => unreachable!("filtered above"),
+                    Job::Reply(bytes) => session.outbuf.extend_from_slice(&bytes),
+                    Job::Control(line) => {
+                        // panic isolation per verb
+                        let reply = catch_unwind(AssertUnwindSafe(|| control_reply(ctx, &line)))
+                            .unwrap_or_else(|payload| {
+                                format!("err {}", internal_error(payload.as_ref()))
+                            });
+                        session.outbuf.extend_from_slice(reply.as_bytes());
+                        session.outbuf.push(b'\n');
+                    }
+                    Job::Quit => {
+                        session.closing = true;
+                        session.jobs.clear();
+                        break;
+                    }
+                }
+            }
+        }
+
+        if !progressed {
+            return;
+        }
+    }
+}
+
+/// One query job's bookkeeping through a pooled dispatch: where its
+/// queries sit in the coalesced batch, and when it decoded.
+struct QueryMeta {
+    shape: Shape,
+    created: Option<Instant>,
+    /// Start of this job's queries in `co.items()`.
+    offset: usize,
+    len: usize,
+}
+
+/// One pooled dispatch for every leading query job this round, with
+/// results scattered back per session (bit-identical to solo
+/// dispatches — the batch answerers are per-item and the merge is pure
+/// concatenation).
+fn dispatch<S: AsMut<Session>>(
+    sessions: &mut [S],
+    ctx: &ServeContext,
+    co: &Coalescer<(usize, Shape), RangeQuery>,
+    metas: &[QueryMeta],
+    trace: &mut TickTrace,
+) {
+    let m = &ctx.metrics;
+    m.coalesced_dispatches.inc();
+    m.coalesced_queries.add(co.len() as u64);
+    m.coalesced_spans.add(co.spans() as u64);
+    let snap = ctx.store.snapshot();
+    let clock = trace.capturing() || metas.iter().any(|meta| meta.created.is_some());
+    let pool_start = clock.then(Instant::now);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        snap.synopsis()
+            .answer_batch_with_pool(co.items(), privtree_runtime::global())
+    }));
+    let dispatch_us = pool_start.map_or(0, |t| t.elapsed().as_micros() as u64);
+    trace.add_us(Stage::Dispatch, dispatch_us);
+    match outcome {
+        Ok(answers) => {
+            trace.time(Stage::Scatter, || {
+                for (&(i, shape), slice) in co.scatter(&answers) {
+                    append_answers(sessions[i].as_mut(), shape, slice, ctx);
+                }
+            });
+            // per-job latency (decode to reply rendered) and the
+            // slow-query log; the pooled batch cost is shared, so each
+            // job charges the same dispatch span
+            for meta in metas {
+                let Some(created) = meta.created else {
+                    continue;
+                };
+                let proto = match meta.shape {
+                    Shape::Wire { .. } => "wire",
+                    Shape::Text => "text",
+                };
+                ctx.observe_request(
+                    &snap,
+                    proto,
+                    &co.items()[meta.offset..meta.offset + meta.len],
+                    created.elapsed().as_micros() as u64,
+                    dispatch_us,
+                );
+            }
+        }
+        Err(payload) => {
+            // every participant learns of the failure; each session
+            // keeps serving
+            let problem = internal_error(payload.as_ref());
+            for &(i, shape) in co.sources() {
+                let out = &mut sessions[i].as_mut().outbuf;
+                match shape {
+                    Shape::Text => out.extend_from_slice(format!("err {problem}\n").as_bytes()),
+                    Shape::Wire { .. } => {
+                        wire::encode_err_frame_into(out, wire::ERR_INTERNAL, &problem);
+                        m.wire_frames_out.inc();
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Render one reply unit's answers into the session's output.
+fn append_answers(session: &mut Session, shape: Shape, answers: &[f64], ctx: &ServeContext) {
+    match shape {
+        Shape::Text => {
+            // the whole reply renders into one buffer: a batch of a
+            // million answers is one write stream, not a million
+            let mut rendered = String::with_capacity(answers.len() * 26);
+            for a in answers {
+                let _ = writeln!(rendered, "{a:.17e}");
+            }
+            session.outbuf.extend_from_slice(rendered.as_bytes());
+        }
+        Shape::Wire { crc } => {
+            wire::encode_answer_frame_into(&mut session.outbuf, answers, crc);
+            ctx.metrics.wire_frames_out.inc();
+        }
+    }
+}

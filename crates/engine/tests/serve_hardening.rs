@@ -237,8 +237,7 @@ fn hostile_peers_cannot_perturb_a_normal_client() {
         "127.0.0.1:0",
         ServeOptions {
             max_conns: 8,
-            read_timeout: Some(Duration::from_millis(400)),
-            ..ServeOptions::default()
+            idle_timeout: Some(Duration::from_millis(400)),
         },
         ShutdownSignal::new(),
     )
@@ -299,6 +298,61 @@ fn hostile_peers_cannot_perturb_a_normal_client() {
         "eviction took too long"
     );
     assert!(server.drain(Duration::from_secs(5)), "drain after attack");
+}
+
+/// A peer that sends a large batch and never reads the reply is
+/// evicted by the idle deadline once the socket stops taking bytes: it
+/// cannot pin a connection slot by leaving its replies unread. The
+/// eviction is counted, and a fresh client is still served.
+#[test]
+fn stalled_reader_is_evicted_by_the_idle_deadline() {
+    let ctx = test_context(107);
+    let server = spawn_tcp_with(
+        Arc::clone(&ctx),
+        "127.0.0.1:0",
+        ServeOptions {
+            idle_timeout: Some(Duration::from_millis(300)),
+            ..ServeOptions::default()
+        },
+        ShutdownSignal::new(),
+    )
+    .unwrap();
+    let addr = server.addr();
+
+    // ~10 MB of answers: far more than loopback socket buffers absorb
+    let n = 400_000;
+    let mut input = format!("batch {n}\n").into_bytes();
+    for _ in 0..n {
+        input.extend_from_slice(b"0,0 1,1\n");
+    }
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    stalled.write_all(&input).unwrap();
+    let sent_at = Instant::now();
+    while ctx.metrics.conns_evicted.get() == 0 || server.active_connections() > 0 {
+        assert!(
+            sent_at.elapsed() < Duration::from_secs(10),
+            "a peer that never reads must not hold its slot"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(
+        sent_at.elapsed() < Duration::from_secs(5),
+        "eviction took too long"
+    );
+    assert_eq!(ctx.metrics.conns_evicted.get(), 1);
+
+    let client = TcpStream::connect(addr).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut reader = BufReader::new(client.try_clone().unwrap());
+    let mut writer = client;
+    writer.write_all(b"keys\n").unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert_eq!(reply.trim_end(), "keys main");
+    drop(stalled);
+    assert!(server.drain(Duration::from_secs(5)));
 }
 
 /// Drain stops the accept loop, finishes in-flight replies, closes

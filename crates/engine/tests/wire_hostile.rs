@@ -131,13 +131,7 @@ fn truncated_frame_closes_cleanly_and_listener_survives() {
 /// closes — a forged length cannot make the server allocate.
 #[test]
 fn oversized_frame_answers_typed_err_and_closes() {
-    let (_ctx, server) = spawn(
-        302,
-        ServeOptions {
-            max_frame: 4096,
-            ..ServeOptions::default()
-        },
-    );
+    let (_ctx, server) = spawn(302, ServeOptions::default());
     let mut stream = open_wire(&server);
     let mut head = Vec::new();
     head.extend_from_slice(&wire::TAG_QUERY);
@@ -148,7 +142,10 @@ fn oversized_frame_answers_typed_err_and_closes() {
     assert_eq!(tag, wire::TAG_ERR);
     let (code, message) = wire::decode_err_payload(&body);
     assert_eq!(code, wire::ERR_OVERSIZED);
-    assert!(message.contains("4096"), "names the cap: {message}");
+    assert!(
+        message.contains(&wire::MAX_FRAME.to_string()),
+        "names the cap: {message}"
+    );
     assert_closed(&mut stream);
     assert!(server.drain(Duration::from_secs(5)));
 }

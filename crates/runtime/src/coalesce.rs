@@ -2,12 +2,12 @@
 //!
 //! The serve reactor decodes query batches from many connections, but
 //! the worker pool is at its best answering one large batch (chunked
-//! dispatch amortizes per-task overhead, and grid-routed shards reorder
-//! big batches for locality). A [`Coalescer`] is the queue in between:
-//! `push` concatenates each source's items while remembering the span
-//! they occupy, `items` hands the pool one contiguous workload, and
-//! `scatter` walks the spans back out so every source receives exactly
-//! its own results, in the order it queued them.
+//! dispatch amortizes per-task overhead). A [`Coalescer`] is the queue
+//! in between: `push` concatenates each source's items while
+//! remembering the span they occupy, `items` hands the pool one
+//! contiguous workload, and `scatter` walks the spans back out so every
+//! source receives exactly its own results, in the order it queued
+//! them.
 //!
 //! The merge is pure concatenation — item `i` of the combined batch is
 //! item `i` of some source's queue — so any per-item batch operation

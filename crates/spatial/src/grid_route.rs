@@ -20,9 +20,6 @@
 //! **boundary shell** of partially covered cells, each answered by a
 //! short anchored traversal over `q ∩ cell` that reuses the frozen
 //! engine's `classify`/`leaf_contribution`/carried-accumulator walk.
-//! Large batches are additionally reordered by the Morton code of the
-//! query centers (cache locality: nearby queries touch the same grid
-//! rows and subtrees) and scattered back to input order.
 //!
 //! # Why the answers match the tree walk
 //!
@@ -98,16 +95,6 @@ impl std::error::Error for GridRouteError {}
 /// Hard cap on materialized cells (anchors + values + summed-area table
 /// cost ~20 bytes per cell, so this bounds a grid at ≈80 MB).
 const MAX_CELLS: usize = 1 << 22;
-
-/// Batches at least this large are Morton-reordered before answering.
-pub(crate) const MORTON_BATCH_THRESHOLD: usize = 1024;
-
-/// Automatic Morton reordering additionally requires at least this many
-/// cells: the reorder buys cache locality on the grid's routing state,
-/// so when anchors + table fit in fast cache anyway (small grids) the
-/// sort/permute/scatter overhead is pure loss.
-/// [`GridRoutedSynopsis::answer_batch_morton`] ignores the gate.
-const MORTON_MIN_CELLS: usize = 1 << 16;
 
 /// Queries overlapping at most this many cells take the plain traversal:
 /// with (almost) no interior block, the summed-area path is pure shell
@@ -844,24 +831,6 @@ impl CellGrid {
             frozen.accumulate_span_d::<D>(anchor, rlo, rhi, stack, acc)
         }
     }
-
-    /// Morton (Z-order) key of a query's center on a dyadic lattice over
-    /// the grid's domain — the batch-reordering locality key.
-    fn morton_key(&self, q: &RangeQuery) -> u64 {
-        let d = self.geo.dims();
-        let bits = (63 / d).min(16);
-        let lattice = 1u64 << bits;
-        let mut key = 0u64;
-        for k in 0..d {
-            let side = self.geo.hi[k] - self.geo.lo[k];
-            let t = ((q.center(k) - self.geo.lo[k]) / side).clamp(0.0, 1.0);
-            let cell = ((t * lattice as f64) as u64).min(lattice - 1);
-            for b in 0..bits {
-                key |= ((cell >> b) & 1) << (b * d + k);
-            }
-        }
-        key
-    }
 }
 
 /// Power-of-two exponent for the default per-dimension resolution:
@@ -1146,7 +1115,7 @@ impl GridRoutedSynopsis {
     /// Answer a workload on the calling thread in input order with one
     /// reused traversal stack — the reference every other batch path is
     /// compared against (per query the float operations are identical,
-    /// so Morton reordering and pool chunking stay bit-identical).
+    /// so pool chunking stays bit-identical).
     pub fn answer_batch_sequential(&self, queries: &[RangeQuery]) -> Vec<f64> {
         let mut stack = Vec::with_capacity(64);
         queries
@@ -1158,56 +1127,11 @@ impl GridRoutedSynopsis {
             .collect()
     }
 
-    /// Answer a workload in Morton order (queries sorted by the Z-order
-    /// code of their centers, so neighbouring queries hit the same grid
-    /// rows and subtrees back to back), scattering the answers back to
-    /// input order. Bit-identical to
-    /// [`GridRoutedSynopsis::answer_batch_sequential`]: each query is
-    /// answered independently by the same operations.
-    pub fn answer_batch_morton(&self, queries: &[RangeQuery]) -> Vec<f64> {
-        let perm = self.morton_permutation(queries);
-        let reordered: Vec<RangeQuery> = perm.iter().map(|&i| queries[i as usize]).collect();
-        let answers = self.answer_batch_sequential(&reordered);
-        scatter(&perm, answers)
-    }
-
-    /// Answer a workload chunked across `pool`; batches large enough to
-    /// benefit are Morton-reordered first (the scatter restores input
-    /// order). Bit-identical to the sequential path for every worker
-    /// count.
+    /// Answer a workload chunked across `pool`. Bit-identical to the
+    /// sequential path for every worker count.
     pub fn answer_batch_with_pool(&self, queries: &[RangeQuery], pool: &WorkerPool) -> Vec<f64> {
-        if queries.len() >= MORTON_BATCH_THRESHOLD && self.grid.cells() >= MORTON_MIN_CELLS {
-            let perm = self.morton_permutation(queries);
-            let reordered: Vec<RangeQuery> = perm.iter().map(|&i| queries[i as usize]).collect();
-            let answers = dispatch_batch(&reordered, pool, |chunk| {
-                self.answer_batch_sequential(chunk)
-            });
-            return scatter(&perm, answers);
-        }
         dispatch_batch(queries, pool, |chunk| self.answer_batch_sequential(chunk))
     }
-
-    /// Indices of `queries` sorted by (Morton key, input index) — a
-    /// deterministic permutation.
-    fn morton_permutation(&self, queries: &[RangeQuery]) -> Vec<u32> {
-        let mut keyed: Vec<(u64, u32)> = queries
-            .iter()
-            .enumerate()
-            .map(|(i, q)| (self.grid.morton_key(q), i as u32))
-            .collect();
-        keyed.sort_unstable();
-        keyed.into_iter().map(|(_, i)| i).collect()
-    }
-}
-
-/// Restore Morton-ordered `answers` to input order (`perm[i]` is the
-/// input index answered at position `i`).
-fn scatter(perm: &[u32], answers: Vec<f64>) -> Vec<f64> {
-    let mut out = vec![0.0f64; answers.len()];
-    for (&src, a) in perm.iter().zip(answers) {
-        out[src as usize] = a;
-    }
-    out
 }
 
 impl RangeCountSynopsis for GridRoutedSynopsis {
@@ -1225,9 +1149,6 @@ impl RangeCountSynopsis for GridRoutedSynopsis {
             if pool.workers() > 1 && queries.len() >= BATCH_PARALLEL_THRESHOLD {
                 return self.answer_batch_with_pool(queries, pool);
             }
-        }
-        if queries.len() >= MORTON_BATCH_THRESHOLD && self.grid.cells() >= MORTON_MIN_CELLS {
-            return self.answer_batch_morton(queries);
         }
         self.answer_batch_sequential(queries)
     }
@@ -1393,14 +1314,10 @@ mod tests {
     fn batch_paths_are_bit_identical() {
         let frozen = sample_frozen(11);
         let grid = GridRoutedSynopsis::with_bins(frozen, &[40, 40]).unwrap();
-        let queries = random_queries(MORTON_BATCH_THRESHOLD + 200, 12);
+        let queries = random_queries(1224, 12);
         let reference = grid.answer_batch_sequential(&queries);
         for (q, r) in queries.iter().zip(&reference) {
             assert_eq!(grid.answer(q).to_bits(), r.to_bits());
-        }
-        let morton = grid.answer_batch_morton(&queries);
-        for (a, b) in reference.iter().zip(&morton) {
-            assert_eq!(a.to_bits(), b.to_bits(), "morton reorder changed bits");
         }
         for workers in [1usize, 2, 4] {
             let pool = WorkerPool::new(workers);

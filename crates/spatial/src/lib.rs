@@ -23,8 +23,7 @@
 //!   accelerator over a frozen arena: a dense uniform cell grid built at
 //!   freeze time (per-cell anchors + summed-area table of exact cell
 //!   contributions) answers the interior of a query in O(2^d) lookups and
-//!   the boundary shell with short cell-anchored traversals; large
-//!   batches are Morton-reordered for cache locality.
+//!   the boundary shell with short cell-anchored traversals.
 //! * [`sharded`] — [`sharded::ShardedSynopsis`], multi-arena serving with
 //!   domain-based query routing: one frozen arena per epoch/region shard
 //!   (or per cut subtree of one release, answering bit-identically to the

@@ -25,14 +25,6 @@ impl RangeQuery {
         }
         self.rect.volume() / dv
     }
-
-    /// Center of the query box along dimension `k` — the locality key
-    /// used when a serving engine reorders a batch by Morton code (see
-    /// [`crate::grid_route::GridRoutedSynopsis::answer_batch_morton`]).
-    #[inline]
-    pub fn center(&self, k: usize) -> f64 {
-        self.rect.midpoint(k)
-    }
 }
 
 /// Anything that can answer range-count queries: private synopses
@@ -66,13 +58,6 @@ mod tests {
         let dom = Rect::new(&[0.0, 0.0], &[10.0, 10.0]);
         let q = RangeQuery::new(Rect::new(&[0.0, 0.0], &[1.0, 1.0]));
         assert!((q.coverage(&dom) - 0.01).abs() < 1e-12);
-    }
-
-    #[test]
-    fn center_is_the_midpoint() {
-        let q = RangeQuery::new(Rect::new(&[0.0, 0.4], &[1.0, 0.6]));
-        assert_eq!(q.center(0), 0.5);
-        assert_eq!(q.center(1), 0.5);
     }
 
     #[test]

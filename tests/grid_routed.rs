@@ -136,9 +136,9 @@ proptest! {
         }
     }
 
-    /// Every batch path — sequential, Morton-reordered, pool-chunked at
-    /// any worker count, and the trait's automatic dispatch — returns
-    /// exactly the bits of the single-query path.
+    /// Every batch path — sequential, pool-chunked at any worker count,
+    /// and the trait's automatic dispatch — returns exactly the bits of
+    /// the single-query path.
     #[test]
     fn batch_paths_bit_identical(
         coords in proptest::collection::vec(0.0f64..1.0, 8..300),
@@ -155,7 +155,6 @@ proptest! {
             assert_eq!(bits, reference, "{label}");
         };
         check("sequential", grid.answer_batch_sequential(&queries));
-        check("morton", grid.answer_batch_morton(&queries));
         check("auto", grid.answer_batch(&queries));
         let pool = WorkerPool::new(workers);
         check("pooled", grid.answer_batch_with_pool(&queries, &pool));
@@ -163,7 +162,7 @@ proptest! {
 }
 
 /// Higher-dimensional domains: the interior/boundary split, anchored
-/// traversals, and Morton keys are all dimension-generic.
+/// and anchored traversals are all dimension-generic.
 #[test]
 fn three_and_four_dim_domains_match_frozen() {
     for (dims, bins) in [(3usize, vec![7usize, 4, 9]), (4, vec![3, 4, 2, 5])] {
