@@ -58,24 +58,20 @@ impl GridScratch {
 
 /// The exact-histogram pass engages the shared pool only for datasets at
 /// least this large; below it the scan is too cheap to amortize dispatch.
-#[cfg(feature = "parallel")]
 const HISTOGRAM_PARALLEL_THRESHOLD: usize = 1 << 16;
 
 /// Exact histogram of `data` on a `bins`-per-dimension grid over `domain`
-/// (row-major, dimension 0 slowest). With the default `parallel` feature,
-/// large datasets are scanned in chunks across the shared
-/// `privtree-runtime` pool — the per-cell counts are small integers, so
-/// float addition is exact in any order and the pooled result is
-/// bit-identical to the sequential scan. This is construction-side only:
-/// the per-cell noise draws of every grid baseline stay a sequential pass
-/// in cell order, so releases are unchanged.
+/// (row-major, dimension 0 slowest). Large datasets are scanned in chunks
+/// across the shared `privtree-runtime` pool — the per-cell counts are
+/// small integers, so float addition is exact in any order and the pooled
+/// result is bit-identical to the sequential scan. This is
+/// construction-side only: the per-cell noise draws of every grid
+/// baseline stay a sequential pass in cell order, so releases are
+/// unchanged.
 pub fn histogram(data: &PointSet, domain: &Rect, bins: &[usize]) -> Vec<f64> {
-    #[cfg(feature = "parallel")]
-    {
-        let pool = privtree_runtime::global();
-        if pool.workers() > 1 && data.len() >= HISTOGRAM_PARALLEL_THRESHOLD {
-            return histogram_with_pool(data, domain, bins, pool);
-        }
+    let pool = privtree_runtime::global();
+    if pool.workers() > 1 && data.len() >= HISTOGRAM_PARALLEL_THRESHOLD {
+        return histogram_with_pool(data, domain, bins, pool);
     }
     histogram_range(data, domain, bins, 0..data.len())
 }

@@ -47,9 +47,8 @@ pub trait TreeDomain {
     /// Split every node of a frontier level as one batch, returning one
     /// entry per input in order. The default loops [`TreeDomain::split`];
     /// domains whose nodes own disjoint scratch segments override this to
-    /// partition the batch (and, with the default `parallel` feature of
-    /// `privtree-spatial`, fan the work out across the persistent
-    /// `privtree-runtime` worker pool).
+    /// partition the batch (and, in `privtree-spatial`, fan the work out
+    /// across the persistent `privtree-runtime` worker pool).
     fn split_frontier(&mut self, nodes: &[&Self::Node]) -> Vec<Option<Vec<Self::Node>>> {
         nodes.iter().map(|n| self.split(n)).collect()
     }

@@ -19,8 +19,8 @@
 //! frames get an error, never a dead listener). See
 //! `crates/engine/README.md` for the byte-by-byte specification.
 //!
-//! [`WireClient`] is the reference client, used by the round-trip tests
-//! and the `concurrent_tcp` benchmark lane.
+//! [`WireClient`] is the reference client, used by the round-trip,
+//! hostile-peer and telemetry tests.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};

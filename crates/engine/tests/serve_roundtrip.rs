@@ -219,7 +219,7 @@ fn stats_reports_per_release_storage_mode() {
     };
 
     let mapped_stats = run("--mmap");
-    if cfg!(all(unix, feature = "mmap")) {
+    if cfg!(unix) {
         assert!(
             mapped_stats.contains(&format!(" mapped_bytes={file_len}")),
             "mapped stats: {mapped_stats}"

@@ -183,7 +183,6 @@ impl TreeDomain for PstDomain<'_> {
     /// noise-free read of shared state, chunked by occurrence count and
     /// collected in input order (bit-identical to the sequential loop for
     /// every worker count).
-    #[cfg(feature = "parallel")]
     fn score_frontier(&self, nodes: &[&PstNode]) -> Vec<f64> {
         /// Fan out only when the level scans at least this many
         /// occurrences; below it the loop is cheaper than the dispatch.

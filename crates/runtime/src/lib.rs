@@ -284,7 +284,7 @@ impl WorkerPool {
     /// spawned now.
     ///
     /// A 1-worker pool never spawns: dispatches run inline on the caller,
-    /// which keeps single-core machines and `--no-default-features`-style
+    /// which keeps single-core machines and sequential-baseline
     /// comparisons free of thread overhead.
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);

@@ -23,7 +23,8 @@
 //!   (or `PRIVTREE_TELEMETRY=0`) turns off the *clock reads* — the
 //!   `Instant::now` pairs around reactor stages and request spans —
 //!   while counters keep counting, so the `stats` verb never regresses
-//!   and the bench overhead lane can measure the timing cost alone.
+//!   and servebench's `runtime.telemetry.overhead_pct` can measure the
+//!   timing cost alone.
 //!   A cargo feature would instead zero the protocol counters in
 //!   `--no-default-features` builds and break their tests.
 //!
@@ -71,8 +72,9 @@ pub fn enabled() -> bool {
     }
 }
 
-/// Turn timing capture on or off at runtime (the bench overhead lane
-/// flips this to measure the cost of the clock reads).
+/// Turn timing capture on or off at runtime (servebench flips this to
+/// measure the cost of the clock reads as
+/// `runtime.telemetry.overhead_pct`).
 pub fn set_enabled(on: bool) {
     ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
 }

@@ -12,12 +12,12 @@
 //! stack, so even [`FrozenSynopsis::answer`] allocates nothing per call;
 //! batches go further and chunk the workload across the persistent
 //! `privtree-runtime` worker pool with one traversal stack per chunk
-//! ([`FrozenSynopsis::answer_batch_with_pool`]; with the default
-//! `parallel` feature, [`RangeCountSynopsis::answer_batch`] engages the
-//! shared global pool automatically on large workloads). Every query is
-//! answered independently by the same float operations, so pooled batch
-//! answers are bit-identical to the sequential loop for every worker
-//! count (property-tested in `tests/serving.rs`).
+//! ([`FrozenSynopsis::answer_batch_with_pool`];
+//! [`RangeCountSynopsis::answer_batch`] engages the shared global pool
+//! automatically on large workloads). Every query is answered
+//! independently by the same float operations, so pooled batch answers
+//! are bit-identical to the sequential loop for every worker count
+//! (property-tested in `tests/serving.rs`).
 //!
 //! Freezing is lossless: [`FrozenSynopsis::thaw`] reconstructs the exact
 //! tree (same arena order), and the answers agree with the tree-walk to
@@ -83,6 +83,25 @@ pub(crate) fn dispatch_batch(
     pool.map_chunks(queries.len(), pool.workers() * 2, |r| {
         answer_chunk(&queries[r])
     })
+}
+
+/// The shared global pool engages on `answer_batch` only for workloads at
+/// least this large; below it dispatch overhead beats the win.
+const BATCH_PARALLEL_THRESHOLD: usize = 512;
+
+/// The one copy of every engine's `answer_batch` policy: large workloads
+/// go through [`dispatch_batch`] on the shared global pool when it has
+/// helpers, anything else runs as one chunk on the caller.
+pub(crate) fn auto_batch(
+    queries: &[RangeQuery],
+    answer_chunk: impl Fn(&[RangeQuery]) -> Vec<f64> + Sync,
+) -> Vec<f64> {
+    let pool = privtree_runtime::global();
+    if pool.workers() > 1 && queries.len() >= BATCH_PARALLEL_THRESHOLD {
+        dispatch_batch(queries, pool, answer_chunk)
+    } else {
+        answer_chunk(queries)
+    }
 }
 
 /// Dispatch a dimensionality-generic method over the supported
@@ -660,25 +679,13 @@ impl RangeCountSynopsis for FrozenSynopsis {
     }
 
     fn answer_batch(&self, queries: &[RangeQuery]) -> Vec<f64> {
-        #[cfg(feature = "parallel")]
-        {
-            let pool = privtree_runtime::global();
-            if pool.workers() > 1 && queries.len() >= BATCH_PARALLEL_THRESHOLD {
-                return self.answer_batch_with_pool(queries, pool);
-            }
-        }
-        self.answer_batch_sequential(queries)
+        auto_batch(queries, |chunk| self.answer_batch_sequential(chunk))
     }
 
     fn label(&self) -> &'static str {
         self.label
     }
 }
-
-/// The shared global pool engages on `answer_batch` only for workloads at
-/// least this large; below it dispatch overhead beats the win.
-#[cfg(feature = "parallel")]
-pub(crate) const BATCH_PARALLEL_THRESHOLD: usize = 512;
 
 impl From<&SpatialSynopsis> for FrozenSynopsis {
     fn from(synopsis: &SpatialSynopsis) -> Self {

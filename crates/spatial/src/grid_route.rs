@@ -49,9 +49,7 @@
 use privtree_runtime::WorkerPool;
 
 use crate::columns::Column;
-#[cfg(feature = "parallel")]
-use crate::frozen::BATCH_PARALLEL_THRESHOLD;
-use crate::frozen::{dispatch_batch, with_query_scratch, FrozenSynopsis};
+use crate::frozen::{auto_batch, dispatch_batch, with_query_scratch, FrozenSynopsis};
 use crate::geom::Rect;
 use crate::query::{RangeCountSynopsis, RangeQuery};
 use crate::MAX_DIMS;
@@ -92,14 +90,9 @@ impl std::fmt::Display for GridRouteError {
 
 impl std::error::Error for GridRouteError {}
 
-/// Hard cap on materialized cells (anchors + values + summed-area table
-/// cost ~20 bytes per cell, so this bounds a grid at ≈80 MB).
+/// Hard cap on materialized cells. A cell costs 36 bytes (see
+/// [`CellGrid::memory_bytes`]), so this bounds a grid at ≈151 MB.
 const MAX_CELLS: usize = 1 << 22;
-
-/// Queries overlapping at most this many cells take the plain traversal:
-/// with (almost) no interior block, the summed-area path is pure shell
-/// overhead. The fallback is exact — same engine, same bits.
-const SMALL_QUERY_CELLS: usize = 16;
 
 /// Relative tolerance for the parent-equals-children consistency check.
 /// Legitimate releases only deviate by float reassociation (≪ 1e-12);
@@ -119,10 +112,6 @@ struct Geometry {
     bins: Vec<usize>,
     /// Row-major strides over `bins` (dimension 0 slowest).
     strides: Vec<usize>,
-    /// Reversed-layout strides (dimension 0 fastest) for the mirrored
-    /// anchor copy, so a run scan along any of the two innermost
-    /// dimensions reads contiguous memory.
-    rev_strides: Vec<usize>,
     /// Precomputed cell boundaries, all dimensions flattened
     /// (`bins[k] + 1` values per dimension starting at `bounds_off[k]`):
     /// the first and last boundaries are pinned to the domain edges and
@@ -141,10 +130,6 @@ impl Geometry {
         for k in (0..d.saturating_sub(1)).rev() {
             strides[k] = strides[k + 1] * bins[k + 1];
         }
-        let mut rev_strides = vec![1usize; d];
-        for k in 1..d {
-            rev_strides[k] = rev_strides[k - 1] * bins[k - 1];
-        }
         let mut bounds = Vec::with_capacity(bins.iter().map(|b| b + 1).sum());
         let mut bounds_off = Vec::with_capacity(d);
         for k in 0..d {
@@ -161,7 +146,6 @@ impl Geometry {
             inv_width,
             bins,
             strides,
-            rev_strides,
             bounds,
             bounds_off,
         }
@@ -201,10 +185,6 @@ pub struct CellGrid {
     /// Per cell (row-major): arena index of the deepest node whose box
     /// fully covers the cell.
     anchors: Column<u32>,
-    /// The same anchors in reversed layout (dimension 0 fastest), so
-    /// boundary-shell run scans stay contiguous whichever dimension the
-    /// run follows. Derived from `anchors` — never serialized.
-    anchors_rev: Vec<u32>,
     /// Per cell: the decomposition's exact traversal answer for the cell
     /// box (kept alongside the table so serialization round-trips
     /// bit-exactly).
@@ -347,14 +327,9 @@ impl CellGrid {
     ) -> Self {
         let (sat, sat_strides) = build_sat(&geo.bins, &values);
         let d = geo.dims();
-        let mut anchors_rev = vec![0u32; anchors.len()];
         let mut leaf_count = vec![0.0f64; anchors.len()];
         let mut leaf_vol = vec![0.0f64; anchors.len()];
-        let mut coord = [0usize; MAX_DIMS];
         for (idx, &a) in anchors.iter().enumerate() {
-            geo.decode(idx, &mut coord);
-            let rev: usize = (0..d).map(|j| coord[j] * geo.rev_strides[j]).sum();
-            anchors_rev[rev] = a;
             let a = a as usize;
             if frozen.child_count()[a] == 0 {
                 // the exact volume product of `leaf_contribution`
@@ -386,7 +361,6 @@ impl CellGrid {
         Self {
             geo,
             anchors,
-            anchors_rev,
             values,
             leaf_count,
             leaf_vol,
@@ -434,10 +408,13 @@ impl CellGrid {
         Rect::new(&lo[..d], &hi[..d])
     }
 
-    /// Bytes of precomputed routing state (anchors + values + table) —
-    /// the memory the accelerator costs on top of the frozen arena.
+    /// Bytes of precomputed routing state — the memory the accelerator
+    /// costs on top of the frozen arena. Per cell that is a `u32` anchor
+    /// and four `f64`s (value, leaf count, leaf volume, and one entry of
+    /// the summed-area table, which is padded to `Π(bins[k] + 1)`
+    /// entries): 36 bytes.
     pub fn memory_bytes(&self) -> usize {
-        (self.anchors.len() + self.anchors_rev.len()) * std::mem::size_of::<u32>()
+        self.anchors.len() * std::mem::size_of::<u32>()
             + (self.values.len() + self.leaf_count.len() + self.leaf_vol.len() + self.sat.len())
                 * std::mem::size_of::<f64>()
     }
@@ -525,17 +502,6 @@ impl CellGrid {
             return frozen.accumulate_span(0, qlo, qhi, stack, init);
         }
 
-        // queries spanning only a handful of cells have no interior to
-        // speak of — the plain traversal beats paying the shell setup
-        let mut span_cells = 1usize;
-        for k in 0..d {
-            let extent = qhi[k].min(self.geo.hi[k]) - qlo[k].max(self.geo.lo[k]);
-            span_cells = span_cells.saturating_mul((extent * self.geo.inv_width[k]) as usize + 2);
-        }
-        if span_cells <= SMALL_QUERY_CELLS {
-            return frozen.accumulate_span(0, qlo, qhi, stack, init);
-        }
-
         // per-dimension overlapping cell range [lo_c, hi_c] (inclusive)
         // and whether the extreme cells are only partially covered
         let mut lo_c = [0usize; D];
@@ -600,13 +566,12 @@ impl CellGrid {
         // this is what makes shell work track the *local* tree scale: a
         // coarse leaf spanning thirty cells costs one contribution, not
         // thirty.
+        let anchors: &[u32] = &self.anchors;
         let mut coord = [0usize; D];
         let mut start = [0usize; D];
         let mut end = [0usize; D];
         let mut rlo = [0.0f64; D];
         let mut rhi = [0.0f64; D];
-        let mut mlo = [0.0f64; D];
-        let mut mhi = [0.0f64; D];
         for k in 0..d {
             let mut edges = [0usize; 2];
             let mut n_edges = 0;
@@ -622,10 +587,8 @@ impl CellGrid {
             let run_dim = (0..d).rev().find(|&j| j != k);
             'edges: for &e in &edges[..n_edges] {
                 coord[k] = e;
-                mlo[k] = self.geo.boundary(k, e);
-                mhi[k] = self.geo.boundary(k, e + 1);
-                rlo[k] = qlo[k].max(mlo[k]);
-                rhi[k] = qhi[k].min(mhi[k]).max(rlo[k]);
+                rlo[k] = qlo[k].max(self.geo.boundary(k, e));
+                rhi[k] = qhi[k].min(self.geo.boundary(k, e + 1)).max(rlo[k]);
                 for j in 0..d {
                     if j == k {
                         continue;
@@ -644,56 +607,37 @@ impl CellGrid {
                 }
                 let Some(run_dim) = run_dim else {
                     // d == 1: the edge is a single cell
-                    let anchor = self.anchors[e];
+                    let anchor = anchors[e];
                     acc = self.shell_piece::<D>(frozen, anchor, &rlo[..d], &rhi[..d], stack, acc);
                     continue 'edges;
                 };
-                // scan whichever anchor layout is contiguous along the
-                // run (both hold identical values, so the grouping — and
-                // therefore every answer — is the same either way)
-                let (scan, scan_stride, use_rev): (&[u32], usize, bool) =
-                    if self.geo.strides[run_dim] == 1 {
-                        (&self.anchors, 1, false)
-                    } else if self.geo.rev_strides[run_dim] == 1 {
-                        (&self.anchors_rev, 1, true)
-                    } else {
-                        (&self.anchors, self.geo.strides[run_dim], false)
-                    };
+                let run_stride = self.geo.strides[run_dim];
                 'rows: loop {
                     // one contiguous run of cells along run_dim
-                    let mut idx_base = 0usize; // scan-layout base
-                    let mut row_base = 0usize; // row-major base (leaf arrays)
+                    let mut row_base = 0usize;
                     for j in 0..d {
                         if j != run_dim {
                             row_base += coord[j] * self.geo.strides[j];
-                            idx_base += coord[j]
-                                * if use_rev {
-                                    self.geo.rev_strides[j]
-                                } else {
-                                    self.geo.strides[j]
-                                };
                             if j != k {
-                                mlo[j] = self.geo.boundary(j, coord[j]);
-                                mhi[j] = self.geo.boundary(j, coord[j] + 1);
-                                rlo[j] = qlo[j].max(mlo[j]);
-                                rhi[j] = qhi[j].min(mhi[j]).max(rlo[j]);
+                                rlo[j] = qlo[j].max(self.geo.boundary(j, coord[j]));
+                                rhi[j] = qhi[j].min(self.geo.boundary(j, coord[j] + 1)).max(rlo[j]);
                             }
                         }
                     }
-                    let (s, t) = (start[run_dim], end[run_dim]);
-                    let mut j0 = s;
+                    let t = end[run_dim];
+                    let mut j0 = start[run_dim];
                     while j0 < t {
-                        let anchor = scan[idx_base + j0 * scan_stride];
+                        let idx = row_base + j0 * run_stride;
+                        let anchor = anchors[idx];
                         let mut j1 = j0 + 1;
-                        while j1 < t && scan[idx_base + j1 * scan_stride] == anchor {
+                        while j1 < t && anchors[row_base + j1 * run_stride] == anchor {
                             j1 += 1;
                         }
-                        mlo[run_dim] = self.geo.boundary(run_dim, j0);
-                        mhi[run_dim] = self.geo.boundary(run_dim, j1);
-                        rlo[run_dim] = qlo[run_dim].max(mlo[run_dim]);
-                        rhi[run_dim] = qhi[run_dim].min(mhi[run_dim]).max(rlo[run_dim]);
-                        let row_idx = row_base + j0 * self.geo.strides[run_dim];
-                        let lv = self.leaf_vol[row_idx];
+                        rlo[run_dim] = qlo[run_dim].max(self.geo.boundary(run_dim, j0));
+                        rhi[run_dim] = qhi[run_dim]
+                            .min(self.geo.boundary(run_dim, j1))
+                            .max(rlo[run_dim]);
+                        let lv = self.leaf_vol[idx];
                         if lv != 0.0 {
                             // leaf anchor with positive volume: r ⊆ anchor
                             // (the anchor covers the whole run box), so
@@ -707,75 +651,20 @@ impl CellGrid {
                             for j in 0..d {
                                 o *= rhi[j] - rlo[j];
                             }
-                            let c = self.leaf_count[row_idx] * o;
+                            let c = self.leaf_count[idx] * o;
                             acc += if lv < 0.0 { c * (-lv) } else { c / lv };
                         } else {
                             // leaf_vol == 0.0 is the "internal anchor"
                             // sentinel (degenerate leaves store volume 1
                             // with count 0 and stay on the fast path)
                             debug_assert!(frozen.child_count()[anchor as usize] > 0);
-                            // subtree anchor: walk whichever of the
-                            // covered part and its complement is smaller
-                            let mut rvol = 1.0;
-                            let mut mvol = 1.0;
-                            for j in 0..d {
-                                rvol *= rhi[j] - rlo[j];
-                                mvol *= mhi[j] - mlo[j];
-                            }
-                            if 2.0 * rvol <= mvol {
-                                acc = frozen.accumulate_span_d::<D>(
-                                    anchor,
-                                    &rlo[..d],
-                                    &rhi[..d],
-                                    stack,
-                                    acc,
-                                );
-                            } else {
-                                // complement counting: the run's cells are
-                                // a contiguous block, so their exact total
-                                // is 2^d summed-area lookups; subtracting
-                                // anchored walks of the thin uncovered
-                                // slabs beats walking every leaf inside
-                                // the covered part
-                                coord[run_dim] = j0;
-                                let mut blk_b = [0usize; D];
-                                for j in 0..d {
-                                    blk_b[j] = coord[j] + 1;
-                                }
-                                blk_b[run_dim] = j1;
-                                let block = self.block_sum_d::<D>(&coord[..d], &blk_b[..d]);
-                                let mut slo = mlo;
-                                let mut shi = mhi;
-                                let mut sub = 0.0;
-                                for j in 0..d {
-                                    if rlo[j] > mlo[j] {
-                                        shi[j] = rlo[j];
-                                        sub = frozen.accumulate_span_d::<D>(
-                                            anchor,
-                                            &slo[..d],
-                                            &shi[..d],
-                                            stack,
-                                            sub,
-                                        );
-                                        shi[j] = mhi[j];
-                                    }
-                                    if rhi[j] < mhi[j] {
-                                        slo[j] = rhi[j];
-                                        sub = frozen.accumulate_span_d::<D>(
-                                            anchor,
-                                            &slo[..d],
-                                            &shi[..d],
-                                            stack,
-                                            sub,
-                                        );
-                                    }
-                                    // restrict this dimension to the
-                                    // covered range for later slabs
-                                    slo[j] = rlo[j];
-                                    shi[j] = rhi[j];
-                                }
-                                acc += block - sub;
-                            }
+                            acc = frozen.accumulate_span_d::<D>(
+                                anchor,
+                                &rlo[..d],
+                                &rhi[..d],
+                                stack,
+                                acc,
+                            );
                         }
                         j0 = j1;
                     }
@@ -1028,7 +917,7 @@ pub struct GridRoutedSynopsis {
 impl GridRoutedSynopsis {
     /// Attach a grid at the default resolution (see
     /// [`GridRoutedSynopsis::default_bins`]), precomputed on the shared
-    /// worker pool when the `parallel` feature is on.
+    /// worker pool.
     pub fn build(frozen: FrozenSynopsis) -> Result<Self, GridRouteError> {
         let bins = Self::default_bins(&frozen);
         Self::with_bins(frozen, &bins)
@@ -1036,11 +925,7 @@ impl GridRoutedSynopsis {
 
     /// Attach a grid with an explicit per-dimension resolution.
     pub fn with_bins(frozen: FrozenSynopsis, bins: &[usize]) -> Result<Self, GridRouteError> {
-        #[cfg(feature = "parallel")]
-        let pool = Some(privtree_runtime::global());
-        #[cfg(not(feature = "parallel"))]
-        let pool = None;
-        Self::with_bins_and_pool(frozen, bins, pool)
+        Self::with_bins_and_pool(frozen, bins, Some(privtree_runtime::global()))
     }
 
     /// [`GridRoutedSynopsis::with_bins`] pinned to an explicit pool
@@ -1077,8 +962,8 @@ impl GridRoutedSynopsis {
     /// stays proportional to the local tree complexity. Non-dyadic
     /// resolutions remain *correct* (the equality contract never depends
     /// on alignment), just slower. Finer grids trade anchor-scan cache
-    /// traffic for shallower shell walks — the bench's resolution sweep
-    /// put the optimum at cell ≈ leaf scale.
+    /// traffic for shallower shell walks; cells at about the leaf scale
+    /// balance the two.
     pub fn default_bins(frozen: &FrozenSynopsis) -> Vec<usize> {
         let d = frozen.dims();
         vec![1usize << default_pow(frozen.node_count(), d); d]
@@ -1143,14 +1028,7 @@ impl RangeCountSynopsis for GridRoutedSynopsis {
     }
 
     fn answer_batch(&self, queries: &[RangeQuery]) -> Vec<f64> {
-        #[cfg(feature = "parallel")]
-        {
-            let pool = privtree_runtime::global();
-            if pool.workers() > 1 && queries.len() >= BATCH_PARALLEL_THRESHOLD {
-                return self.answer_batch_with_pool(queries, pool);
-            }
-        }
-        self.answer_batch_sequential(queries)
+        auto_batch(queries, |chunk| self.answer_batch_sequential(chunk))
     }
 
     fn label(&self) -> &'static str {
@@ -1218,6 +1096,49 @@ mod tests {
             .collect()
     }
 
+    /// Boxes over at most 4 cells per dimension of `grid`, cycling through
+    /// random sub-boxes of one cell, boxes straddling one cell boundary,
+    /// and blocks of up to 4 cells per dimension: little or no interior,
+    /// so the boundary shell answers almost all of each.
+    fn few_cell_queries(grid: &CellGrid, n: usize, seed: u64) -> Vec<RangeQuery> {
+        let bins = grid.bins();
+        let d = bins.len();
+        let mut rng = seeded(seed);
+        (0..n)
+            .map(|i| {
+                let mut span = vec![1usize; d];
+                match i % 3 {
+                    0 => {}
+                    1 => span[rng.random::<usize>() % d] = 2,
+                    _ => span
+                        .iter_mut()
+                        .for_each(|s| *s = 1 + rng.random::<usize>() % 4),
+                }
+                let mut first = vec![0usize; d];
+                let mut last = vec![0usize; d];
+                for k in 0..d {
+                    let s = span[k].min(bins[k]);
+                    first[k] = rng.random::<usize>() % (bins[k] - s + 1);
+                    last[k] = first[k] + s - 1;
+                }
+                let (a, b) = (grid.cell_rect(&first), grid.cell_rect(&last));
+                let mut lo = vec![0.0; d];
+                let mut hi = vec![0.0; d];
+                for k in 0..d {
+                    let (u, v) = (rng.random::<f64>(), rng.random::<f64>());
+                    if first[k] == last[k] {
+                        lo[k] = a.lo()[k] + u.min(v) * a.side(k);
+                        hi[k] = a.lo()[k] + u.max(v) * a.side(k);
+                    } else {
+                        lo[k] = a.lo()[k] + u * a.side(k);
+                        hi[k] = b.lo()[k] + v * b.side(k);
+                    }
+                }
+                RangeQuery::new(Rect::new(&lo, &hi))
+            })
+            .collect()
+    }
+
     fn assert_matches(frozen: &FrozenSynopsis, grid: &GridRoutedSynopsis, queries: &[RangeQuery]) {
         for q in queries {
             let a = frozen.answer(q);
@@ -1234,6 +1155,10 @@ mod tests {
         for bins in [[1usize, 1], [2, 3], [17, 17], [64, 64], [128, 31]] {
             let grid = GridRoutedSynopsis::with_bins(frozen.clone(), &bins).unwrap();
             assert_matches(&frozen, &grid, &queries);
+        }
+        for bins in [[13usize, 7], [64, 64], [128, 31]] {
+            let grid = GridRoutedSynopsis::with_bins(frozen.clone(), &bins).unwrap();
+            assert_matches(&frozen, &grid, &few_cell_queries(grid.grid(), 400, 3));
         }
     }
 
@@ -1256,12 +1181,12 @@ mod tests {
             RangeQuery::new(Rect::new(&[0.3, 0.1], &[0.3, 0.9])),   // zero width
             RangeQuery::new(Rect::new(&[0.25, 0.5], &[0.25, 0.5])), // zero area
             RangeQuery::new(Rect::new(&[1.5, 1.5], &[1.8, 1.9])),   // disjoint
-            RangeQuery::new(Rect::new(&[0.999, 0.999], &[1.0, 1.0])), // corner sliver
+            RangeQuery::new(Rect::new(&[0.999, 0.999], &[1.0, 1.0])), // one-cell shell piece
         ] {
             assert_eq!(
                 frozen.answer(&q).to_bits(),
                 grid.answer(&q).to_bits(),
-                "fallback paths must be bit-exact on {}",
+                "fallbacks and single-cell shell pieces must be bit-exact on {}",
                 q.rect
             );
         }
@@ -1454,6 +1379,7 @@ mod tests {
                 q.rect
             );
         }
+        assert_matches(&frozen, &grid, &few_cell_queries(grid.grid(), 400, 24));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * [`quadtree`] — the quadtree / 2^i-ary [`privtree_core::TreeDomain`]
 //!   with in-place point partitioning; `RefCell`-free, `Send`, and able
 //!   to split a whole frontier level as one batch fanned out across the
-//!   persistent `privtree-runtime` worker pool (default `parallel`
-//!   feature; bit-identical to sequential for every worker count).
+//!   persistent `privtree-runtime` worker pool (bit-identical to
+//!   sequential for every worker count).
 //! * [`query`] — range-count queries and the `answer`/`answer_batch`
 //!   synopsis interface.
 //! * [`frozen`] — [`frozen::FrozenSynopsis`], the read-optimized

@@ -15,10 +15,10 @@
 //! into independent sub-slices and fans them out across the persistent
 //! [`privtree_runtime::WorkerPool`] (deterministic: results are collected
 //! in input order and no randomness is involved, so pooled builds are
-//! bit-identical to sequential ones for every worker count). With the
-//! default `parallel` feature the shared [`privtree_runtime::global`]
-//! pool engages automatically on large levels; an explicit pool set via
-//! [`QuadDomain::with_pool`] is always used.
+//! bit-identical to sequential ones for every worker count). The shared
+//! [`privtree_runtime::global`] pool engages automatically on large
+//! levels; an explicit pool set via [`QuadDomain::with_pool`] is always
+//! used.
 
 use privtree_core::domain::TreeDomain;
 use privtree_runtime::WorkerPool;
@@ -164,9 +164,9 @@ impl<'a> QuadDomain<'a> {
     }
 
     /// Split frontier levels on `pool` instead of the shared global pool.
-    /// An explicit pool is always used (even without the `parallel`
-    /// feature and below the auto-parallelism size threshold), which is
-    /// how the tests pin builds to specific worker counts.
+    /// An explicit pool is always used (even below the auto-parallelism
+    /// size threshold), which is how the tests pin builds to specific
+    /// worker counts.
     pub fn with_pool(mut self, pool: &'a WorkerPool) -> Self {
         self.pool = Some(pool);
         self
@@ -261,21 +261,20 @@ fn run_split_jobs(
 
     let total_points: usize = jobs.iter().map(|(_, seg)| seg.len()).sum();
     let explicit = pool.is_some();
-    #[cfg(feature = "parallel")]
-    let pool = pool.or_else(|| Some(privtree_runtime::global()));
-    let engage = pool.is_some_and(|p| {
-        p.workers() > 1 && jobs.len() > 1 && (explicit || total_points >= PARALLEL_POINT_THRESHOLD)
-    });
-    match pool {
-        Some(pool) if engage => pool.map_vec_weighted(
+    let pool = pool.unwrap_or_else(|| privtree_runtime::global());
+    if pool.workers() > 1
+        && jobs.len() > 1
+        && (explicit || total_points >= PARALLEL_POINT_THRESHOLD)
+    {
+        pool.map_vec_weighted(
             jobs,
             |(_, seg)| seg.len().max(1),
             |(node, seg)| split_segment(data, config, node, seg),
-        ),
-        _ => jobs
-            .into_iter()
+        )
+    } else {
+        jobs.into_iter()
             .map(|(node, seg)| split_segment(data, config, node, seg))
-            .collect(),
+            .collect()
     }
 }
 

@@ -55,9 +55,7 @@ use std::sync::{Arc, OnceLock};
 
 use privtree_runtime::WorkerPool;
 
-#[cfg(feature = "parallel")]
-use crate::frozen::BATCH_PARALLEL_THRESHOLD;
-use crate::frozen::{with_query_scratch, FrozenSynopsis, Overlap};
+use crate::frozen::{auto_batch, dispatch_batch, with_query_scratch, FrozenSynopsis, Overlap};
 use crate::geom::Rect;
 use crate::grid_route::{CellGrid, CellGridParts, GridRouteError, GridRoutedSynopsis};
 use crate::query::{RangeCountSynopsis, RangeQuery};
@@ -451,17 +449,12 @@ impl ShardedSynopsis {
 
     /// Attach a grid-routed accelerator to every shard arena that does
     /// not already carry one (default per-shard resolution, precomputed
-    /// on the shared pool when the `parallel` feature is on). Fails with
-    /// [`GridRouteError`] when a shard cannot be grid-routed — e.g.
-    /// inconsistent counts — leaving the synopsis unchanged is impossible
-    /// at that point, so callers keep the plain configuration by simply
-    /// not calling this.
+    /// on the shared pool). Fails with [`GridRouteError`] when a shard
+    /// cannot be grid-routed — e.g. inconsistent counts — leaving the
+    /// synopsis unchanged is impossible at that point, so callers keep
+    /// the plain configuration by simply not calling this.
     pub fn with_shard_grids(self) -> Result<Self, GridRouteError> {
-        #[cfg(feature = "parallel")]
-        let pool = Some(privtree_runtime::global());
-        #[cfg(not(feature = "parallel"))]
-        let pool = None;
-        self.with_shard_grids_and_pool(pool)
+        self.with_shard_grids_and_pool(Some(privtree_runtime::global()))
     }
 
     /// [`ShardedSynopsis::with_shard_grids`] pinned to an explicit pool
@@ -591,7 +584,7 @@ impl ShardedSynopsis {
     /// [`ShardedSynopsis::answer_batch_sequential`] for every worker
     /// count.
     pub fn answer_batch_with_pool(&self, queries: &[RangeQuery], pool: &WorkerPool) -> Vec<f64> {
-        crate::frozen::dispatch_batch(queries, pool, |chunk| self.answer_batch_sequential(chunk))
+        dispatch_batch(queries, pool, |chunk| self.answer_batch_sequential(chunk))
     }
 }
 
@@ -603,14 +596,7 @@ impl RangeCountSynopsis for ShardedSynopsis {
     }
 
     fn answer_batch(&self, queries: &[RangeQuery]) -> Vec<f64> {
-        #[cfg(feature = "parallel")]
-        {
-            let pool = privtree_runtime::global();
-            if pool.workers() > 1 && queries.len() >= BATCH_PARALLEL_THRESHOLD {
-                return self.answer_batch_with_pool(queries, pool);
-            }
-        }
-        self.answer_batch_sequential(queries)
+        auto_batch(queries, |chunk| self.answer_batch_sequential(chunk))
     }
 
     fn label(&self) -> &'static str {

@@ -970,7 +970,7 @@ impl Catalog {
 
     /// Load the release stored under `key` with zero-copy storage when
     /// possible: binary releases are memory-mapped (falling back to an
-    /// owned read when the `mmap` feature is off or mapping fails), the
+    /// owned read when mapping fails), the
     /// whole-file checksum is verified against the manifest, and the
     /// columns borrow the mapping in place. The grid, when shipped, is
     /// *staged* rather than assembled, so opening is O(map + validate);

@@ -38,12 +38,11 @@
 //!   the manifest, truncating torn tails, and `Catalog::checkpoint`
 //!   folds the state back into the manifest and rotates the segment.
 //! * [`view`] — **zero-copy loading**: [`ReleaseBytes`] memory-maps a
-//!   release file (read-only, falling back to an owned read when the
-//!   `mmap` feature is off or mapping fails) and
-//!   [`open_release_view`] validates the header and sections against
-//!   the mapping, handing back a `FrozenSynopsis` whose columns borrow
-//!   the mapped bytes directly — the page cache *is* the serving
-//!   arena. Misaligned or legacy-unpadded sections fall back to
+//!   release file (read-only, falling back to an owned read when
+//!   mapping fails) and [`open_release_view`] validates the header and
+//!   sections against the mapping, handing back a `FrozenSynopsis`
+//!   whose columns borrow the mapped bytes directly — the page cache
+//!   *is* the serving arena. Misaligned or legacy-unpadded sections fall back to
 //!   copying that column, never to an error, and the shipped grid is
 //!   returned staged so warm start pays only map + validate.
 //! * [`text_to_binary`] / [`binary_to_text`] — lossless conversion

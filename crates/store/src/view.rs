@@ -50,23 +50,19 @@ use crate::StoreError;
 pub enum ReleaseBytes {
     /// A read-only shared mapping of the release file: the OS page cache
     /// holds the single physical copy.
-    #[cfg(feature = "mmap")]
     Mapped(privtree_mmap::Mmap),
-    /// An owned in-memory copy (mmap feature disabled, or mapping
-    /// failed/unsupported). Columns can still borrow from it zero-copy —
-    /// there is just no page-cache sharing.
+    /// An owned in-memory copy (mapping failed, or the bytes came through
+    /// [`ReleaseBytes::from_vec`]). Columns can still borrow from it
+    /// zero-copy — there is just no page-cache sharing.
     Owned(Vec<u8>),
 }
 
 impl ReleaseBytes {
-    /// Open `path`, preferring a memory mapping when the `mmap` feature
-    /// is enabled (falling back to an owned read if mapping fails).
+    /// Open `path` as a memory mapping, falling back to an owned read if
+    /// mapping fails.
     pub fn map(path: &Path) -> Result<Self, StoreError> {
-        #[cfg(feature = "mmap")]
-        {
-            if let Ok(map) = privtree_mmap::Mmap::open(path) {
-                return Ok(ReleaseBytes::Mapped(map));
-            }
+        if let Ok(map) = privtree_mmap::Mmap::open(path) {
+            return Ok(ReleaseBytes::Mapped(map));
         }
         Ok(ReleaseBytes::Owned(std::fs::read(path).map_err(|e| {
             StoreError::io(format!("reading {}", path.display()), e)
@@ -81,7 +77,6 @@ impl ReleaseBytes {
     /// The release file bytes.
     pub fn bytes(&self) -> &[u8] {
         match self {
-            #[cfg(feature = "mmap")]
             ReleaseBytes::Mapped(map) => map.bytes(),
             ReleaseBytes::Owned(buf) => buf,
         }
@@ -90,7 +85,6 @@ impl ReleaseBytes {
     /// Bytes held by a memory mapping (0 for owned storage).
     pub fn mapped_len(&self) -> usize {
         match self {
-            #[cfg(feature = "mmap")]
             ReleaseBytes::Mapped(map) => map.len(),
             ReleaseBytes::Owned(_) => 0,
         }
