@@ -16,10 +16,9 @@
 //! ```text
 //! privtree-serve [--grids] [--listen ADDR] [--catalog DIR]
 //!                [--journal] [--fsync always|never|every:N]
-//!                [--keep-generations N] [--mmap|--no-mmap]
-//!                [--max-conns N] [--read-timeout S]
-//!                [--drain-timeout S] [--slow-query-log MS]
-//!                <key=release>...
+//!                [--keep-generations N] [--max-conns N]
+//!                [--read-timeout S] [--drain-timeout S]
+//!                [--slow-query-log MS] <key=release>...
 //! ```
 //!
 //! With `--catalog DIR` the process **warm-starts** from an on-disk
@@ -29,21 +28,20 @@
 //! catalog and add-or-swap one back from it. The warm start is
 //! **lossy**: a key whose file is missing, torn, or corrupt is
 //! quarantined (logged at startup, reported by `stats`) and every clean
-//! release serves — a degraded boot beats no boot. Catalog opens
-//! default to **zero-copy**: binary releases are memory-mapped straight
-//! out of the page cache, columns borrow the mapping, and shipped grids
-//! assemble lazily on first use — `--no-mmap` restores owned copying
-//! decodes (answers are bit-identical either way).
+//! release serves — a degraded boot beats no boot. Catalog opens are
+//! **zero-copy**: binary releases are memory-mapped straight out of the
+//! page cache, columns borrow the mapping, and shipped grids assemble
+//! lazily on first use.
 //!
 //! With `--journal` (requires `--catalog`), every `add`/`swap`/`retire`
 //! appends a write-ahead record to the catalog's journal **before** the
 //! ok line is written — an acked mutation survives a crash, and the
 //! next boot replays the journal on top of the manifest. `--fsync`
-//! picks the append durability (`always`, the default; `every:N`;
-//! `never`), `--keep-generations N` retains the newest N generations
-//! per key (GC never unlinks a file a retained generation still
-//! references), and the `checkpoint` verb folds the journal into the
-//! manifest and rotates the segment.
+//! (requires `--journal`) picks the append durability (`always`, the
+//! default; `every:N`; `never`), `--keep-generations N` retains the
+//! newest N generations per key (GC never unlinks a file a retained
+//! generation still references), and the `checkpoint` verb folds the
+//! journal into the manifest and rotates the segment.
 //!
 //! In listen mode the process runs under lifecycle guards: at most
 //! `--max-conns` concurrent connections (excess accepts answer
@@ -75,8 +73,8 @@ use privtree_store::{Catalog, FsyncPolicy};
 
 const USAGE: &str = "usage: privtree-serve [--grids] [--listen ADDR] [--catalog DIR]\n\
                      [--journal] [--fsync always|never|every:N] [--keep-generations N]\n\
-                     [--mmap|--no-mmap] [--max-conns N] [--read-timeout SECS]\n\
-                     [--drain-timeout SECS] [--slow-query-log MS] <key=release>...\n\
+                     [--max-conns N] [--read-timeout SECS] [--drain-timeout SECS]\n\
+                     [--slow-query-log MS] <key=release>...\n\
                      releases are privtree-synopsis v1 text files or privtree-bin v1\n\
                      binary files (sniffed; an attached grid section is loaded instead\n\
                      of rebuilt); queries arrive over stdin, or over TCP with --listen,\n\
@@ -85,18 +83,17 @@ const USAGE: &str = "usage: privtree-serve [--grids] [--listen ADDR] [--catalog 
                      on-disk release catalog, quarantining damaged entries instead of\n\
                      refusing to boot; --journal (requires --catalog) makes every\n\
                      add/swap/retire durable via a write-ahead journal record before\n\
-                     the ack, replayed on the next boot; --fsync (default always) picks\n\
-                     the journal append durability; --keep-generations (default 1)\n\
-                     retains the newest N generations per key; --mmap (the default)\n\
-                     serves catalog releases zero-copy from a memory mapping, --no-mmap\n\
-                     decodes them into owned buffers; --max-conns (default 1024) sheds\n\
-                     excess connections with `err busy`; --read-timeout (default 30,\n\
-                     0=off) evicts a peer that sends nothing while idle, or reads none\n\
-                     of its pending replies, for that long; SIGTERM/SIGINT or stdin EOF\n\
-                     drain gracefully, waiting up to --drain-timeout (default 5) for\n\
-                     in-flight replies; --slow-query-log records queries slower than MS\n\
-                     milliseconds in a ring the `slowlog` verb dumps (the `metrics` verb\n\
-                     serves the full telemetry exposition either way)";
+                     the ack, replayed on the next boot; --fsync (requires --journal;\n\
+                     default always) picks the journal append durability;\n\
+                     --keep-generations (default 1) retains the newest N generations\n\
+                     per key; --max-conns (default 1024) sheds excess connections with\n\
+                     `err busy`; --read-timeout (default 30, 0=off) evicts a peer that\n\
+                     sends nothing while idle, or reads none of its pending replies, for\n\
+                     that long; SIGTERM/SIGINT or stdin EOF drain gracefully, waiting up\n\
+                     to --drain-timeout (default 5) for in-flight replies;\n\
+                     --slow-query-log records queries slower than MS milliseconds in a\n\
+                     ring the `slowlog` verb dumps (the `metrics` verb serves the full\n\
+                     telemetry exposition either way)";
 
 fn parse_secs(flag: &str, value: Option<String>) -> Result<u64, String> {
     value
@@ -110,9 +107,8 @@ fn run() -> Result<(), String> {
     let mut listen: Option<String> = None;
     let mut catalog_dir: Option<String> = None;
     let mut journal = false;
-    let mut fsync = FsyncPolicy::Always;
+    let mut fsync: Option<FsyncPolicy> = None;
     let mut keep_generations: usize = 1;
-    let mut mmap = true;
     let mut max_conns: usize = 1024;
     let mut read_timeout_secs: u64 = 30;
     let mut drain_timeout_secs: u64 = 5;
@@ -131,9 +127,9 @@ fn run() -> Result<(), String> {
             "--journal" => journal = true,
             "--fsync" => {
                 let spelling = args.next().ok_or("--fsync needs always|never|every:N")?;
-                fsync = FsyncPolicy::parse(&spelling).ok_or_else(|| {
+                fsync = Some(FsyncPolicy::parse(&spelling).ok_or_else(|| {
                     format!("--fsync: bad policy {spelling} (always|never|every:N)")
-                })?;
+                })?);
             }
             "--keep-generations" => {
                 keep_generations = args
@@ -142,8 +138,6 @@ fn run() -> Result<(), String> {
                     .filter(|&n| n >= 1)
                     .ok_or("--keep-generations needs a positive count")?;
             }
-            "--mmap" => mmap = true,
-            "--no-mmap" => mmap = false,
             "--max-conns" => {
                 max_conns = args
                     .next()
@@ -185,6 +179,10 @@ fn run() -> Result<(), String> {
             return Err(format!("--keep-generations requires --catalog\n{USAGE}"));
         }
     }
+    if fsync.is_some() && !journal {
+        return Err(format!("--fsync requires --journal\n{USAGE}"));
+    }
+    let fsync = fsync.unwrap_or(FsyncPolicy::Always);
     let mut quarantined = Vec::new();
     let catalog = match &catalog_dir {
         Some(dir) => {
@@ -212,28 +210,20 @@ fn run() -> Result<(), String> {
             if journal {
                 catalog.enable_journal(fsync).map_err(|e| e.to_string())?;
             }
-            // cataloged releases first; explicit key=path arguments may
-            // not collide (the store refuses duplicates). Lossy: damaged
-            // entries quarantine instead of refusing to boot.
-            if mmap {
-                let (loaded, bad) = catalog.load_all_mapped_lossy();
-                for (key, loaded) in loaded {
-                    releases.push((key, loaded.into_handle()));
-                }
-                quarantined = bad
+            // cataloged releases join the key=path arguments, which may
+            // not collide (the store refuses duplicates), so both publish
+            // in one version-1 snapshot. Lossy: damaged entries
+            // quarantine instead of refusing to boot.
+            let (loaded, bad) = catalog.load_all_mapped_lossy();
+            releases.extend(
+                loaded
                     .into_iter()
-                    .map(|(key, e)| (key, e.to_string()))
-                    .collect();
-            } else {
-                let (loaded, bad) = catalog.load_all_lossy();
-                for (key, arena, grid) in loaded {
-                    releases.push((key, ShardHandle::from_release(arena, grid)));
-                }
-                quarantined = bad
-                    .into_iter()
-                    .map(|(key, e)| (key, e.to_string()))
-                    .collect();
-            }
+                    .map(|(key, loaded)| (key, loaded.into_handle())),
+            );
+            quarantined = bad
+                .into_iter()
+                .map(|(key, e)| (key, e.to_string()))
+                .collect();
             Some(catalog)
         }
         None => None,
@@ -242,7 +232,10 @@ fn run() -> Result<(), String> {
         eprintln!("privtree-serve: quarantined catalog release {key}: {reason}");
     }
     if releases.is_empty() {
-        return Err(format!("no releases given\n{USAGE}"));
+        return Err(match quarantined.len() {
+            0 => format!("no releases given\n{USAGE}"),
+            n => format!("all {n} catalog release(s) were quarantined; nothing is left to serve"),
+        });
     }
     let store = if grids {
         ReleaseStore::open_gridded(releases)
@@ -274,7 +267,6 @@ fn run() -> Result<(), String> {
         Some(catalog) => ServeContext::with_catalog(store, catalog),
         None => ServeContext::new(store),
     }
-    .with_mmap(mmap)
     .with_quarantined(quarantined);
     if let Some(ms) = slow_query_log_ms {
         ctx = ctx.with_slow_query_log(Duration::from_millis(ms));

@@ -48,8 +48,8 @@
 //!
 //! Stores survive the process through `privtree-store`:
 //! [`ReleaseStore::open_catalog`] warm-starts a store from an on-disk
-//! release catalog (binary `privtree-bin v1` entries decode in one
-//! validated pass — no per-line parsing) and
+//! release catalog (binary `privtree-bin v1` entries are memory-mapped
+//! and validated in place, columns borrowing the mapping) and
 //! [`ReleaseStore::persist_catalog`] writes every serving release back
 //! (binary, grids included, atomic publish). Either direction preserves
 //! answers bit for bit.
@@ -376,71 +376,26 @@ impl ReleaseStore {
     /// Warm-start a store from an on-disk catalog: every release in the
     /// catalog is loaded and served under its catalog key. `grids`
     /// behaves as in [`ReleaseStore::open_gridded`] — releases that
-    /// arrive without a grid get one built. Defaults to zero-copy mapped
-    /// opens; see [`ReleaseStore::open_catalog_with`].
+    /// arrive without a grid get one built. Binary releases open
+    /// zero-copy: the file is memory-mapped (owned read fallback when
+    /// mapping is unavailable), columns borrow the mapping, and shipped
+    /// grids stay *staged* until first use — the warm start costs map +
+    /// validate instead of a full decode, and answers are bit-identical
+    /// to an owned decode.
     pub fn open_catalog(catalog: &Catalog, grids: bool) -> Result<Self, EngineError> {
-        Self::open_catalog_with(catalog, grids, true)
+        let releases = catalog.load_all_mapped().map_err(EngineError::Store)?;
+        let handles = releases
+            .into_iter()
+            .map(|(key, loaded)| (key, loaded.into_handle()));
+        Self::build(handles, grids)
     }
 
-    /// [`ReleaseStore::open_catalog`] with the storage mode explicit.
-    /// With `mmap` true, binary releases are opened zero-copy: the file
-    /// is memory-mapped (owned read fallback when mapping is
-    /// unavailable), columns borrow the mapping, and shipped grids stay
-    /// *staged* until first use — the warm start costs map + validate
-    /// instead of a full decode, and answers are bit-identical either
-    /// way. With `mmap` false, every release is decoded into owned
-    /// buffers up front.
-    pub fn open_catalog_with(
-        catalog: &Catalog,
-        grids: bool,
-        mmap: bool,
-    ) -> Result<Self, EngineError> {
-        if mmap {
-            let releases = catalog.load_all_mapped().map_err(EngineError::Store)?;
-            let handles = releases
-                .into_iter()
-                .map(|(key, loaded)| (key, loaded.into_handle()));
-            Self::build(handles, grids)
-        } else {
-            let releases = catalog.load_all().map_err(EngineError::Store)?;
-            let handles = releases
-                .into_iter()
-                .map(|(key, arena, grid)| (key, ShardHandle::from_release(arena, grid)));
-            Self::build(handles, grids)
-        }
-    }
-
-    /// Warm-start from an on-disk catalog **tolerating damaged
-    /// entries**: releases that load cleanly are served bit-identically
-    /// to a strict open, and every key whose file is missing, torn, or
-    /// corrupt is *quarantined* — returned alongside its typed
-    /// [`StoreError`] instead of failing the whole boot. A serving
-    /// process prefers a degraded start over no start; the caller logs
-    /// the quarantine list and `stats` surfaces it at the protocol
-    /// level. Fails only when **no** release survives (an empty store
-    /// cannot serve) or the surviving set itself is invalid.
-    pub fn open_catalog_lossy(
-        catalog: &Catalog,
-        grids: bool,
-        mmap: bool,
-    ) -> Result<(Self, Vec<(String, StoreError)>), EngineError> {
-        let (handles, quarantined) = if mmap {
-            let (loaded, quarantined) = catalog.load_all_mapped_lossy();
-            let handles: Vec<(String, ShardHandle)> = loaded
-                .into_iter()
-                .map(|(key, loaded)| (key, loaded.into_handle()))
-                .collect();
-            (handles, quarantined)
-        } else {
-            let (loaded, quarantined) = catalog.load_all_lossy();
-            let handles: Vec<(String, ShardHandle)> = loaded
-                .into_iter()
-                .map(|(key, arena, grid)| (key, ShardHandle::from_release(arena, grid)))
-                .collect();
-            (handles, quarantined)
-        };
-        let store = Self::build(handles, grids)?;
-        Ok((store, quarantined))
+    /// [`ReleaseStore::open_catalog`]. The third argument selects
+    /// nothing: every catalog open maps. Kept only because
+    /// `servebench/src/boot.rs` still calls it by this name.
+    #[doc(hidden)]
+    pub fn open_catalog_with(catalog: &Catalog, grids: bool, _: bool) -> Result<Self, EngineError> {
+        Self::open_catalog(catalog, grids)
     }
 
     /// Persist every currently-serving release into `catalog` (binary

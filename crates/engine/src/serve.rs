@@ -356,10 +356,6 @@ pub struct ServeContext {
     /// The attached on-disk catalog, if any (`--catalog DIR`). Guarded:
     /// `save`/`load` may arrive on any connection thread.
     pub catalog: Option<Mutex<Catalog>>,
-    /// Whether runtime `load` verbs open catalog releases zero-copy
-    /// (memory-mapped, staged grids) instead of decoding into owned
-    /// buffers. Defaults on; `--no-mmap` turns it off.
-    pub mmap: bool,
     /// Catalog keys a lossy warm start quarantined (key, reason).
     /// Surfaced through `stats` so an operator can see at the protocol
     /// level that the process booted degraded.
@@ -391,7 +387,6 @@ impl ServeContext {
         Self {
             store,
             catalog: None,
-            mmap: true,
             quarantined: Vec::new(),
             metrics,
             slowlog: SlowLog::default(),
@@ -415,12 +410,6 @@ impl ServeContext {
     /// Whether mutations are journaled through the attached catalog.
     pub fn journaled(&self) -> bool {
         self.journal
-    }
-
-    /// Set whether catalog `load` verbs open releases zero-copy.
-    pub fn with_mmap(mut self, mmap: bool) -> Self {
-        self.mmap = mmap;
-        self
     }
 
     /// Record the keys a lossy warm start had to quarantine. Each key
@@ -649,23 +638,15 @@ fn save_verb(ctx: &ServeContext, key: &str) -> Result<String, String> {
     ))
 }
 
-/// Load `key` from the attached catalog and add-or-swap it into the
-/// store.
+/// Load `key` from the attached catalog (zero-copy, like the warm
+/// start) and add-or-swap it into the store.
 fn load_verb(ctx: &ServeContext, key: &str) -> Result<SwapReport, String> {
-    let handle = {
-        let catalog = ctx
-            .lock_catalog()
-            .ok_or("no catalog attached (start with --catalog DIR)")?;
-        if ctx.mmap {
-            catalog
-                .load_mapped(key)
-                .map_err(|e| e.to_string())?
-                .into_handle()
-        } else {
-            let (arena, grid) = catalog.load(key).map_err(|e| e.to_string())?;
-            ShardHandle::from_release(arena, grid)
-        }
-    };
+    let handle = ctx
+        .lock_catalog()
+        .ok_or("no catalog attached (start with --catalog DIR)")?
+        .load_mapped(key)
+        .map_err(|e| e.to_string())?
+        .into_handle();
     let serving = ctx.store.snapshot().keys().iter().any(|k| k == key);
     let op = if serving {
         ctx.store.swap(key, handle)

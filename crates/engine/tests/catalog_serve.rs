@@ -3,11 +3,12 @@
 //! through the `privtree-serve` binary via `--catalog`, and every
 //! answer is diffed against the **text-loaded** library path — the
 //! formats must be indistinguishable at the query level. Also drives
-//! the `save`/`load` protocol verbs and the library-level
-//! `open_catalog`/`persist_catalog` round trip.
+//! the `save`/`load` protocol verbs, a degraded boot over a damaged
+//! catalog, the flag combinations the binary refuses, and the
+//! library-level `open_catalog`/`persist_catalog` round trip.
 
 use std::io::Write;
-use std::process::{Command, Stdio};
+use std::process::{Command, Output, Stdio};
 
 use privtree_dp::budget::Epsilon;
 use privtree_dp::rng::seeded;
@@ -23,20 +24,24 @@ use rand::RngExt;
 
 const BIN: &str = env!("CARGO_BIN_EXE_privtree-serve");
 
-/// Storage mode under test: CI runs this suite twice, once with
-/// `PRIVTREE_SERVE_MMAP=0` (owned decodes) and once without (zero-copy
-/// mapped opens, the default) — the answers must be identical in both.
-fn mmap_mode() -> bool {
-    std::env::var("PRIVTREE_SERVE_MMAP").map_or(true, |v| v != "0")
-}
-
-/// The `privtree-serve` flag for the mode under test.
-fn mmap_flag() -> &'static str {
-    if mmap_mode() {
-        "--mmap"
-    } else {
-        "--no-mmap"
-    }
+/// Run `privtree-serve` with `args`, feed `input` on stdin, and collect
+/// its exit status and output.
+fn serve(args: &[&str], input: &str) -> Output {
+    Command::new(BIN)
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .and_then(|mut child| {
+            child
+                .stdin
+                .take()
+                .expect("piped stdin")
+                .write_all(input.as_bytes())?;
+            child.wait_with_output()
+        })
+        .expect("run privtree-serve")
 }
 
 fn sample_release(domain: Rect, seed: u64, n: usize) -> FrozenSynopsis {
@@ -135,21 +140,7 @@ fn catalog_served_binary_matches_text_loaded_library() {
     }
     input.push_str("keys\nquit\n");
 
-    let output = Command::new(BIN)
-        .args(["--catalog", dir.0.to_str().unwrap(), mmap_flag()])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .and_then(|mut child| {
-            child
-                .stdin
-                .take()
-                .expect("piped stdin")
-                .write_all(input.as_bytes())?;
-            child.wait_with_output()
-        })
-        .expect("run privtree-serve");
+    let output = serve(&["--catalog", dir.0.to_str().unwrap()], &input);
     assert!(
         output.status.success(),
         "privtree-serve failed: {}",
@@ -199,31 +190,20 @@ fn save_and_load_verbs_round_trip_through_the_catalog() {
          retire east\n\
          keys\n\
          load east\n\
+         stats\n\
          keys\n\
          count {west_q}\n\
          quit\n",
         west_q = query_line(&q_west),
     );
-    let output = Command::new(BIN)
-        .args([
+    let output = serve(
+        &[
             "--catalog",
             dir.0.to_str().unwrap(),
-            mmap_flag(),
             &format!("east={}", east_path.display()),
-        ])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .and_then(|mut child| {
-            child
-                .stdin
-                .take()
-                .expect("piped stdin")
-                .write_all(input.as_bytes())?;
-            child.wait_with_output()
-        })
-        .expect("run privtree-serve");
+        ],
+        &input,
+    );
     assert!(
         output.status.success(),
         "privtree-serve failed: {}",
@@ -244,6 +224,11 @@ fn save_and_load_verbs_round_trip_through_the_catalog() {
     assert_eq!(lines.next(), Some("keys west"));
     let loaded = lines.next().expect("load reply");
     assert!(loaded.starts_with("ok version=3"), "load reply: {loaded}");
+    // the load verb opens the catalog release zero-copy, like the boot
+    let stats = lines.next().expect("stats reply");
+    if cfg!(unix) {
+        assert!(stats.contains(" storage.east=mapped:"), "stats: {stats}");
+    }
     assert_eq!(lines.next(), Some("keys east west"));
     // a query strictly inside west is answered by that shard alone
     assert_eq!(
@@ -255,6 +240,141 @@ fn save_and_load_verbs_round_trip_through_the_catalog() {
     // the catalog on disk now holds both releases (east was saved)
     let reopened = Catalog::open(&dir.0).unwrap();
     assert_eq!(reopened.keys().collect::<Vec<_>>(), ["east", "west"]);
+}
+
+/// Flip one payload byte of a release file in place: the length stays,
+/// so only the whole-file checksum can catch it.
+fn flip_middle_byte(path: &std::path::Path) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(path, &bytes).unwrap();
+}
+
+/// A degraded boot end to end: `privtree-serve --catalog` over a
+/// catalog with one corrupt and one missing release quarantines both,
+/// reports them through `stats`, and serves the clean release with its
+/// exact bits.
+#[test]
+fn catalog_boot_quarantines_damaged_releases_and_serves_the_rest() {
+    let strips: Vec<(&str, FrozenSynopsis)> = ["alpha", "beta", "gamma"]
+        .into_iter()
+        .enumerate()
+        .map(|(i, key)| {
+            let lo = i as f64 / 3.0;
+            let region = Rect::new(&[lo, 0.0], &[lo + 1.0 / 3.0, 1.0]);
+            (key, sample_release(region, 100 + i as u64, 1500))
+        })
+        .collect();
+    let dir = TempDir::new("degraded");
+    let mut catalog = Catalog::open_or_create(&dir.0).unwrap();
+    for (key, arena) in &strips {
+        catalog
+            .save(key, arena, None, ReleaseFormat::Binary)
+            .unwrap();
+    }
+    let file = |key: &str| dir.0.join(&catalog.entry(key).unwrap().file);
+    let alpha_len = std::fs::metadata(file("alpha")).unwrap().len();
+    flip_middle_byte(&file("beta"));
+    std::fs::remove_file(file("gamma")).unwrap();
+    drop(catalog);
+
+    let q = RangeQuery::new(Rect::new(&[0.05, 0.1], &[0.3, 0.9]));
+    let input = format!("keys\nstats\ncount {}\nquit\n", query_line(&q));
+    let output = serve(&["--catalog", dir.0.to_str().unwrap()], &input);
+    assert!(
+        output.status.success(),
+        "privtree-serve failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let stdout = String::from_utf8(output.stdout).expect("utf-8");
+    let mut lines = stdout.lines();
+    assert_eq!(lines.next(), Some("keys alpha"));
+    let stats = lines.next().expect("stats reply");
+    for pair in [
+        " quarantined=2",
+        " quarantined.beta=1",
+        " quarantined.gamma=1",
+    ] {
+        assert!(stats.contains(pair), "missing {pair}: {stats}");
+    }
+    if cfg!(unix) {
+        let mapped = format!(" storage.alpha=mapped:{alpha_len}");
+        assert!(stats.contains(&mapped), "missing {mapped}: {stats}");
+    }
+    // a query strictly inside alpha: the clean release's exact bits
+    assert_eq!(
+        lines.next(),
+        Some(format!("{:.17e}", strips[0].1.answer(&q)).as_str())
+    );
+    assert_eq!(lines.next(), None);
+}
+
+/// Releases were given, but every one of them is damaged: the binary
+/// says that nothing is left to serve (not "no releases given" and the
+/// usage text) and exits 1.
+#[test]
+fn catalog_boot_with_every_release_quarantined_says_so() {
+    let dir = TempDir::new("all-damaged");
+    let mut catalog = Catalog::open_or_create(&dir.0).unwrap();
+    for (i, key) in ["alpha", "beta"].into_iter().enumerate() {
+        let lo = i as f64 / 2.0;
+        let region = Rect::new(&[lo, 0.0], &[lo + 0.5, 1.0]);
+        let arena = sample_release(region, 110 + i as u64, 1000);
+        catalog
+            .save(key, &arena, None, ReleaseFormat::Binary)
+            .unwrap();
+        flip_middle_byte(&dir.0.join(&catalog.entry(key).unwrap().file));
+    }
+    drop(catalog);
+
+    let output = serve(&["--catalog", dir.0.to_str().unwrap()], "");
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("all 2 catalog release(s) were quarantined; nothing is left to serve"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("usage:"), "stderr: {stderr}");
+}
+
+/// A flag that only means something beside another flag is refused,
+/// never silently dropped: each invocation would boot without it, and
+/// with it exits 1 naming the missing prerequisite.
+#[test]
+fn flags_without_their_prerequisite_are_refused() {
+    let dir = TempDir::new("flags");
+    let arena = sample_release(Rect::unit(2), 120, 500);
+    let mut catalog = Catalog::open_or_create(&dir.0).unwrap();
+    catalog
+        .save("west", &arena, None, ReleaseFormat::Binary)
+        .unwrap();
+    drop(catalog);
+    let release_path = dir.0.join("west-input.txt");
+    std::fs::write(
+        &release_path,
+        privtree_spatial::serialize::frozen_to_text(&arena),
+    )
+    .unwrap();
+    let release = format!("west={}", release_path.display());
+    let catalog_dir = dir.0.to_str().unwrap();
+
+    for (args, reason) in [
+        (vec!["--journal", &release], "--journal requires --catalog"),
+        (
+            vec!["--keep-generations", "2", &release],
+            "--keep-generations requires --catalog",
+        ),
+        (
+            vec!["--catalog", catalog_dir, "--fsync", "never"],
+            "--fsync requires --journal",
+        ),
+    ] {
+        let output = serve(&args, "");
+        assert_eq!(output.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(reason), "{args:?}: {stderr}");
+    }
 }
 
 /// Library-level warm start: persist a gridded store, reopen it from
@@ -277,14 +397,14 @@ fn open_catalog_reproduces_a_persisted_store_exactly() {
     let mut catalog = Catalog::open_or_create(&dir.0).unwrap();
     assert_eq!(store.persist_catalog(&mut catalog).unwrap(), 3);
 
-    // reopen purely from disk, in the storage mode under test
+    // reopen purely from disk
     let reopened_catalog = Catalog::open(&dir.0).unwrap();
-    let warm = ReleaseStore::open_catalog_with(&reopened_catalog, true, mmap_mode()).unwrap();
+    let warm = ReleaseStore::open_catalog(&reopened_catalog, true).unwrap();
     let snap = warm.snapshot();
     assert_eq!(snap.keys(), store.snapshot().keys());
     // grids shipped with the releases: the warm open built none
     assert_eq!(warm.stats().grids_built, 0, "grids must come from disk");
-    if mmap_mode() && cfg!(unix) {
+    if cfg!(unix) {
         for shard in snap.synopsis().shards() {
             assert!(shard.is_mapped(), "catalog shards should be mapped");
         }
@@ -317,7 +437,7 @@ fn mapped_snapshots_survive_swap_retire_and_file_removal() {
             .save(key, arena, None, ReleaseFormat::Binary)
             .unwrap();
     }
-    let warm = ReleaseStore::open_catalog_with(&catalog, true, true).unwrap();
+    let warm = ReleaseStore::open_catalog(&catalog, true).unwrap();
     let queries = workload(120, 91);
     let old_snap = warm.snapshot();
     let reference = old_snap.synopsis().answer_batch(&queries);

@@ -173,8 +173,8 @@ fn stdin_round_trip_matches_library_answers() {
 }
 
 /// The `stats` verb reports each release's storage mode: `mapped:<n>`
-/// (with the mapping's byte count) for zero-copy catalog opens, `owned`
-/// for copying loads — and `--no-mmap` forces everything owned.
+/// (with the mapping's byte count) for zero-copy catalog opens; the
+/// test above pins `owned` for copying `key=path` loads.
 #[test]
 fn stats_reports_per_release_storage_mode() {
     use privtree_store::{Catalog, ReleaseFormat};
@@ -191,54 +191,37 @@ fn stats_reports_per_release_storage_mode() {
         .len();
     drop(catalog);
 
-    let run = |flag: &str| -> String {
-        let output = Command::new(BIN)
-            .args(["--catalog", dir.to_str().unwrap(), flag])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .and_then(|mut child| {
-                child
-                    .stdin
-                    .take()
-                    .expect("piped stdin")
-                    .write_all(b"stats\nquit\n")?;
-                child.wait_with_output()
-            })
-            .expect("run privtree-serve");
-        assert!(
-            output.status.success(),
-            "privtree-serve {flag} failed: {}",
-            String::from_utf8_lossy(&output.stderr)
-        );
-        String::from_utf8(output.stdout)
-            .expect("utf-8")
-            .trim()
-            .to_string()
-    };
-
-    let mapped_stats = run("--mmap");
+    let output = Command::new(BIN)
+        .args(["--catalog", dir.to_str().unwrap()])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .and_then(|mut child| {
+            child
+                .stdin
+                .take()
+                .expect("piped stdin")
+                .write_all(b"stats\nquit\n")?;
+            child.wait_with_output()
+        })
+        .expect("run privtree-serve");
+    assert!(
+        output.status.success(),
+        "privtree-serve failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let stats = String::from_utf8(output.stdout).expect("utf-8");
     if cfg!(unix) {
         assert!(
-            mapped_stats.contains(&format!(" mapped_bytes={file_len}")),
-            "mapped stats: {mapped_stats}"
+            stats.contains(&format!(" mapped_bytes={file_len}")),
+            "mapped stats: {stats}"
         );
         assert!(
-            mapped_stats.contains(&format!(" storage.epoch0=mapped:{file_len}")),
-            "mapped stats: {mapped_stats}"
+            stats.contains(&format!(" storage.epoch0=mapped:{file_len}")),
+            "mapped stats: {stats}"
         );
     }
-
-    let owned_stats = run("--no-mmap");
-    assert!(
-        owned_stats.contains(" mapped_bytes=0"),
-        "owned stats: {owned_stats}"
-    );
-    assert!(
-        owned_stats.contains(" storage.epoch0=owned"),
-        "owned stats: {owned_stats}"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -497,7 +497,7 @@ impl Catalog {
         // already unlinked is gone for good — drop the entry rather
         // than carry a reference the sweep (and loads) cannot honour.
         // Current entries are never dropped here: a missing *current*
-        // file is quarantine territory for the lossy loaders.
+        // file is quarantine territory for the lossy loader.
         let dir = catalog.dir.clone();
         for list in catalog.retained.values_mut() {
             list.retain(|e| dir.join(&e.file).exists());
@@ -1024,32 +1024,11 @@ impl Catalog {
             .collect()
     }
 
-    /// [`Catalog::load_all`], degraded: releases whose file is missing,
-    /// torn, or corrupt are **quarantined** (returned with their typed
-    /// per-key error) instead of failing the whole load, so one bad
+    /// [`Catalog::load_all_mapped`], degraded: releases whose file is
+    /// missing, torn, or corrupt are **quarantined** (returned with their
+    /// typed per-key error) instead of failing the whole load, so one bad
     /// release costs capacity, not availability. Surviving releases
     /// load bit-identically to the strict path, in sorted key order.
-    #[allow(clippy::type_complexity)]
-    pub fn load_all_lossy(
-        &self,
-    ) -> (
-        Vec<(String, FrozenSynopsis, Option<CellGrid>)>,
-        Vec<(String, StoreError)>,
-    ) {
-        let mut loaded = Vec::new();
-        let mut quarantined = Vec::new();
-        for key in self.entries.keys() {
-            match self.load(key) {
-                Ok((arena, grid)) => loaded.push((key.clone(), arena, grid)),
-                Err(e) => quarantined.push((key.clone(), e)),
-            }
-        }
-        (loaded, quarantined)
-    }
-
-    /// [`Catalog::load_all_mapped`], degraded exactly like
-    /// [`Catalog::load_all_lossy`]: per-key errors quarantine that key,
-    /// the rest of the catalog serves.
     #[allow(clippy::type_complexity)]
     pub fn load_all_mapped_lossy(
         &self,

@@ -90,16 +90,18 @@ fn lossy_load_quarantines_damaged_entries_and_serves_the_rest() {
     assert!(catalog.load_all().is_err(), "strict load must fail whole");
     assert!(catalog.load_all_mapped().is_err());
 
-    let (loaded, quarantined) = catalog.load_all_lossy();
+    let (loaded, quarantined) = catalog.load_all_mapped_lossy();
     assert_eq!(
-        loaded
-            .iter()
-            .map(|(k, _, _)| k.as_str())
-            .collect::<Vec<_>>(),
+        loaded.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
         ["alpha"],
         "only the undamaged release survives"
     );
-    assert_eq!(bits(loaded[0].1.counts()), clean[0].1, "bit-identical");
+    // the zero-copy survivor carries the owned strict load's exact bits
+    assert_eq!(
+        bits(loaded[0].1.arena.counts()),
+        clean[0].1,
+        "bit-identical"
+    );
     assert_eq!(quarantined.len(), 2);
     let reason = |key: &str| {
         quarantined
@@ -118,13 +120,6 @@ fn lossy_load_quarantines_damaged_entries_and_serves_the_rest() {
         "missing file is an IO quarantine: {:?}",
         reason("gamma")
     );
-
-    // the zero-copy path degrades identically
-    let (mapped, mapped_quarantined) = catalog.load_all_mapped_lossy();
-    assert_eq!(mapped.len(), 1);
-    assert_eq!(mapped[0].0, "alpha");
-    assert_eq!(bits(mapped[0].1.arena.counts()), clean[0].1);
-    assert_eq!(mapped_quarantined.len(), 2);
 }
 
 /// `Catalog::open` removes a dead writer's residue — `.tmp` siblings
