@@ -20,12 +20,12 @@
 //!   recovery and per-connection panic isolation in the serve layer).
 //!
 //! Besides per-point triggers there is a **global step trigger**
-//! ([`arm_global`]): every [`check`] call increments one process-wide
-//! counter, and the trigger fires on the *n*-th hit regardless of
-//! which point it lands on. A crash-at-every-step sweep is then just:
-//! run the operation once cleanly and read [`hits`], then re-run it
-//! once per step with `arm_global(k, Crash)` and assert the
-//! interrupted state recovers.
+//! (`arm_global`, like `hits` compiled only with the feature): every
+//! [`check`] call increments one process-wide counter, and the trigger
+//! fires on the *n*-th hit regardless of which point it lands on. A
+//! crash-at-every-step sweep is then just: run the operation once
+//! cleanly and read `hits`, then re-run it once per step with
+//! `arm_global(k, Crash)` and assert the interrupted state recovers.
 //!
 //! Environment syntax (parsed once, on first registry use):
 //!

@@ -17,9 +17,37 @@
 //!
 //! A query then splits into an **interior block** — the cells it covers
 //! completely, resolved in `O(2^d)` summed-area lookups — plus a thin
-//! **boundary shell** of partially covered cells, each answered by a
-//! short anchored traversal over `q ∩ cell` that reuses the frozen
-//! engine's `classify`/`leaf_contribution`/carried-accumulator walk.
+//! **boundary shell** of partially covered cells.
+//!
+//! # The boundary shell: faces, corners, and anchored walks
+//!
+//! Let `S` be the set of dimensions along which a shell cell is only
+//! partly covered. Cells with `|S| = 1` form the shell's **faces**: the
+//! face normal to `k` at edge cell `e` holds the cells at coordinate `e`
+//! along `k` and inside the interior range along every other dimension,
+//! so the query cuts each of them to the same width `w_k` along `k` and
+//! covers them whole along the rest.
+//!
+//! * **Leaf-anchored face cells** cost nothing per cell. Section 2.2
+//!   answers a partly covered leaf under the uniformity assumption —
+//!   `count × |q ∩ leaf| / |leaf|` — so a cell anchored at a leaf of
+//!   positive volume contributes `w_k × count × Π_{j≠k} width_j / vol`,
+//!   the cut width times a per-cell constant. A per-dimension **face
+//!   prefix table** sums that constant along every dimension except `k`
+//!   (`bins[k]` entries along `k`, `bins[j] + 1` along each other `j`),
+//!   so a whole face's leaf part is `w_k` times one block sum of
+//!   `2^(d−1)` lookups, as the summed-area table's block is.
+//! * **Internal-anchored face cells** still need an anchored walk. A
+//!   CSR **run index** lists, per line of cells along dimension `d − 1`
+//!   (and, for the faces normal to `d − 1`, along `d − 2`), the maximal
+//!   runs of equal internal anchor. A face binary-searches each of its
+//!   lines for the first run overlapping its range and walks every run
+//!   once over the union of its clipped cells.
+//! * **Cells cut along two or more dimensions** — at most 4 corners in
+//!   2-d, the 12 edges in 3-d — and every edge cell of a 1-d grid take
+//!   the per-cell path: consecutive cells sharing an anchor merge into
+//!   one anchored traversal over `q ∩ cells` that reuses the frozen
+//!   engine's `classify`/`leaf_contribution`/carried-accumulator walk.
 //!
 //! # Why the answers match the tree walk
 //!
@@ -37,14 +65,17 @@
 //! reassociation error (≪ 1e-9 relative, property-tested in
 //! `tests/grid_routed.rs`).
 //!
-//! The boundary shell is stronger than "numerically equal": an anchored
-//! traversal is **bit-identical** to the root traversal of the same
-//! `q ∩ cell` box. The anchor descent only steps from a node to a child
-//! when the child's box covers the cell *and every other sibling is
-//! disjoint from it*, so in the root walk each skipped ancestor
-//! classifies `Partial` (contributing nothing) and each skipped sibling
-//! `Disjoint` — the `+=` sequence is exactly the anchored one
-//! ([`FrozenSynopsis::answer_from`] pins this from integration tests).
+//! The face tables reassociate the same leaf contributions (one product
+//! per cell, summed by prefix differences), so they stay within the
+//! same reassociation error. The per-cell path is stronger than
+//! "numerically equal": an anchored traversal is **bit-identical** to
+//! the root traversal of the same `q ∩ cell` box. The anchor descent
+//! only steps from a node to a child when the child's box covers the
+//! cell *and every other sibling is disjoint from it*, so in the root
+//! walk each skipped ancestor classifies `Partial` (contributing
+//! nothing) and each skipped sibling `Disjoint` — the `+=` sequence is
+//! exactly the anchored one ([`FrozenSynopsis::answer_from`] pins this
+//! from integration tests).
 
 use privtree_runtime::WorkerPool;
 
@@ -58,7 +89,8 @@ use crate::MAX_DIMS;
 #[derive(Debug, Clone, PartialEq)]
 pub enum GridRouteError {
     /// The requested resolution is unusable (wrong dimensionality, zero
-    /// bins, or more cells than the build is willing to materialize).
+    /// bins, or more cells or table bytes than the build is willing to
+    /// materialize).
     BadResolution(String),
     /// The release's root box has a zero-length side, so no uniform grid
     /// over it can distinguish cells.
@@ -90,9 +122,21 @@ impl std::fmt::Display for GridRouteError {
 
 impl std::error::Error for GridRouteError {}
 
-/// Hard cap on materialized cells. A cell costs 36 bytes (see
-/// [`CellGrid::memory_bytes`]), so this bounds a grid at ≈151 MB.
+/// Hard cap on materialized cells (it also keeps every run-index entry
+/// a `u32`). The cell count alone does not bound a grid's memory: the
+/// summed-area and face tables are padded to `bins[j] + 1` entries per
+/// dimension, so they reach `2^(d−1)` entries per cell when one
+/// dimension holds all the bins. [`MAX_GRID_BYTES`] is the real bound.
 const MAX_CELLS: usize = 1 << 22;
+
+/// Hard cap on the bytes one grid allocates: anchors, values, the
+/// summed-area table, the face tables, and the run index at its worst
+/// case (see [`grid_bytes`]). [`CellGrid::build`] and
+/// [`CellGrid::from_parts`] refuse a resolution over it before
+/// allocating anything. Every default resolution fits, for every
+/// dimensionality up to [`MAX_DIMS`]: the largest, 8 bins per dimension
+/// in 7-d, needs ≈338 MiB, most of it face tables.
+const MAX_GRID_BYTES: usize = 384 << 20;
 
 /// Relative tolerance for the parent-equals-children consistency check.
 /// Legitimate releases only deviate by float reassociation (≪ 1e-12);
@@ -176,7 +220,8 @@ impl Geometry {
 }
 
 /// The precomputed routing structure for one frozen arena: per-cell
-/// anchors, per-cell exact contributions, and their summed-area table.
+/// anchors, per-cell exact contributions, their summed-area table, and
+/// the boundary shell's face tables and run index.
 /// Held by [`GridRoutedSynopsis`] (one release) and by
 /// [`crate::sharded::ShardedSynopsis`] (one grid per shard arena).
 #[derive(Debug, Clone)]
@@ -186,25 +231,18 @@ pub struct CellGrid {
     /// fully covers the cell.
     anchors: Column<u32>,
     /// Per cell: the decomposition's exact traversal answer for the cell
-    /// box (kept alongside the table so serialization round-trips
+    /// box (kept alongside the tables so serialization round-trips
     /// bit-exactly).
     values: Column<f64>,
-    /// Per cell (row-major): the anchor's released count when the anchor
-    /// is a leaf with positive volume, else unused. With `leaf_vol`,
-    /// this keeps the leaf fast path entirely inside grid-local arrays —
-    /// no node-array loads. (A degenerate zero-volume leaf stores
-    /// count 0 / volume 1, reproducing its zero contribution.)
-    leaf_count: Vec<f64>,
-    /// Per cell (row-major): the anchor's box volume when the anchor is
-    /// a leaf — computed by the exact multiply order of
-    /// `leaf_contribution`, and stored as its *negated reciprocal* when
-    /// the volume is a power of two (multiplying by the exact reciprocal
-    /// is then bit-identical to dividing) — or `0.0` as the "anchor is
-    /// internal, take the walk path" sentinel.
-    leaf_vol: Vec<f64>,
-    /// Padded inclusive prefix sums of `values`, shape `bins[k] + 1`.
-    sat: Vec<f64>,
-    sat_strides: Vec<usize>,
+    /// Summed-area table of `values`.
+    sat: PrefixTable,
+    /// Per dimension `k` (d ≥ 2, else empty): the face table of the
+    /// leaf constant `count × Π_{j≠k} width_j / vol`, summed along every
+    /// dimension except `k`.
+    faces: Vec<PrefixTable>,
+    /// Internal-anchor runs along the lines of dimension `d − 1` (`[0]`)
+    /// and `d − 2` (`[1]`); empty for d = 1.
+    runs: Vec<RunIndex>,
 }
 
 impl CellGrid {
@@ -248,11 +286,13 @@ impl CellGrid {
 
     /// Re-assemble a grid from persisted parts, validating that the
     /// anchors are plausible (in range and covering their cells). The
-    /// summed-area table is rebuilt deterministically from `values`, so
-    /// a deserialized grid answers bit-identically to the one that was
-    /// serialized. This is the entry point for every release loader
-    /// (text and binary alike). The columns may be owned `Vec`s or
-    /// [`Column`]s borrowing a mapped release file.
+    /// summed-area table, the face tables and the run index are rebuilt
+    /// deterministically from `anchors`, `values` and the arena, so a
+    /// deserialized grid answers bit-identically to the one that was
+    /// serialized. A resolution over the grid allocation bound is
+    /// refused before anything is allocated. This is the entry point for
+    /// every release loader (text and binary alike). The columns may be
+    /// owned `Vec`s or [`Column`]s borrowing a mapped release file.
     pub fn from_parts(
         frozen: &FrozenSynopsis,
         bins: &[usize],
@@ -298,12 +338,9 @@ impl CellGrid {
                 "need {d} non-zero bin counts, got {bins:?}"
             )));
         }
-        let cells = bins.iter().try_fold(1usize, |acc, &b| {
-            acc.checked_mul(b).filter(|&c| c <= MAX_CELLS)
-        });
-        if cells.is_none() {
+        if !fits_budget(bins) {
             return Err(GridRouteError::BadResolution(format!(
-                "{bins:?} exceeds the {MAX_CELLS}-cell cap"
+                "{bins:?} exceeds the {MAX_CELLS}-cell or {MAX_GRID_BYTES}-byte cap"
             )));
         }
         let lo = frozen.node_lo(0).to_vec();
@@ -319,53 +356,50 @@ impl CellGrid {
         Ok(Geometry::new(lo, hi, width, bins.to_vec()))
     }
 
+    /// Derive the tables from `anchors` and `values`: the summed-area
+    /// table, and for d ≥ 2 one face table per dimension plus the run
+    /// index. A few sequential passes, with no node-box loads: a
+    /// leaf-anchored cell's value is `count × Π_j width_j / vol` (or the
+    /// count, when the leaf is the cell), so `value / width_k` is its face
+    /// constant along `k` up to rounding.
     fn assemble(
         frozen: &FrozenSynopsis,
         geo: Geometry,
         anchors: Column<u32>,
         values: Column<f64>,
     ) -> Self {
-        let (sat, sat_strides) = build_sat(&geo.bins, &values);
         let d = geo.dims();
-        let mut leaf_count = vec![0.0f64; anchors.len()];
-        let mut leaf_vol = vec![0.0f64; anchors.len()];
-        for (idx, &a) in anchors.iter().enumerate() {
-            let a = a as usize;
-            if frozen.child_count()[a] == 0 {
-                // the exact volume product of `leaf_contribution`
-                let (nlo, nhi) = (frozen.node_lo(a), frozen.node_hi(a));
-                let mut vol = 1.0;
-                for k in 0..d {
-                    vol *= nhi[k] - nlo[k];
-                }
-                if vol > 0.0 {
-                    leaf_count[idx] = frozen.counts()[a];
-                    // a power-of-two volume (every leaf of a bisection
-                    // tree over a power-of-two domain) divides by exact
-                    // exponent scaling, so multiplying by the exact
-                    // reciprocal is bit-identical to dividing — store
-                    // the negated reciprocal as the multiply-path marker
-                    let inv = 1.0 / vol;
-                    let pow2 = vol.to_bits() & ((1u64 << 52) - 1) == 0;
-                    if pow2 && inv.is_finite() && inv > 0.0 {
-                        leaf_vol[idx] = -inv;
-                    } else {
-                        leaf_vol[idx] = vol;
-                    }
-                } else {
-                    leaf_count[idx] = 0.0;
-                    leaf_vol[idx] = -1.0; // degenerate leaf: contributes 0
-                }
-            }
-        }
+        let kids = frozen.child_count();
+        let sat = PrefixTable::build(&geo.bins, None, |idx, _| values[idx]);
+        let (faces, runs) = if d >= 2 {
+            let faces = (0..d)
+                .map(|k| {
+                    PrefixTable::build(&geo.bins, Some(k), |idx, coord| {
+                        let width = geo.boundary(k, coord[k] + 1) - geo.boundary(k, coord[k]);
+                        if width > 0.0 && kids[anchors[idx] as usize] == 0 {
+                            values[idx] / width
+                        } else {
+                            0.0
+                        }
+                    })
+                })
+                .collect();
+            let internal = |a: u32| kids[a as usize] > 0;
+            let runs = vec![
+                RunIndex::build(&geo, &anchors, d - 1, internal),
+                RunIndex::build(&geo, &anchors, d - 2, internal),
+            ];
+            (faces, runs)
+        } else {
+            (Vec::new(), Vec::new())
+        };
         Self {
             geo,
             anchors,
             values,
-            leaf_count,
-            leaf_vol,
             sat,
-            sat_strides,
+            faces,
+            runs,
         }
     }
 
@@ -410,13 +444,17 @@ impl CellGrid {
 
     /// Bytes of precomputed routing state — the memory the accelerator
     /// costs on top of the frozen arena. Per cell that is a `u32` anchor
-    /// and four `f64`s (value, leaf count, leaf volume, and one entry of
-    /// the summed-area table, which is padded to `Π(bins[k] + 1)`
-    /// entries): 36 bytes.
+    /// and `2 + d` `f64`s (the value, one entry of the summed-area table,
+    /// and one entry of each face table, all tables padded by one entry
+    /// per summed dimension): 20 + 8d bytes for d ≥ 2 (20 for d = 1),
+    /// plus the run index's 12 bytes per internal-anchor run and 4 per
+    /// line of cells.
     pub fn memory_bytes(&self) -> usize {
+        let tables: usize = self.faces.iter().map(|t| t.data.len()).sum();
+        let runs: usize = self.runs.iter().map(RunIndex::memory_bytes).sum();
         self.anchors.len() * std::mem::size_of::<u32>()
-            + (self.values.len() + self.leaf_count.len() + self.leaf_vol.len() + self.sat.len())
-                * std::mem::size_of::<f64>()
+            + (self.values.len() + self.sat.data.len() + tables) * std::mem::size_of::<f64>()
+            + runs
     }
 
     fn cell_index(&self, coord: &[usize]) -> usize {
@@ -428,28 +466,6 @@ impl CellGrid {
                 assert!(c < b, "cell coordinate out of range");
                 acc * b + c
             })
-    }
-
-    /// Sum of cell values over the block `[a, b)` via the summed-area
-    /// table: `O(2^d)` lookups with inclusion–exclusion signs, with the
-    /// dimensionality known at compile time.
-    fn block_sum_d<const D: usize>(&self, a: &[usize], b: &[usize]) -> f64 {
-        let mut total = 0.0;
-        for mask in 0..(1usize << D) {
-            let mut off = 0usize;
-            let mut sign = 1.0;
-            for k in 0..D {
-                let idx = if (mask >> k) & 1 == 1 {
-                    sign = -sign;
-                    a[k]
-                } else {
-                    b[k]
-                };
-                off += idx * self.sat_strides[k];
-            }
-            total += sign * self.sat[off];
-        }
-        total
     }
 
     /// The grid-routed answer for the query span `[qlo, qhi)` against
@@ -553,141 +569,183 @@ impl CellGrid {
         // interior block: cells fully covered along every dimension
         let mut acc = init;
         if interior_nonempty {
-            acc += self.block_sum_d::<D>(&int_lo[..d], &int_hi[..d]);
+            acc += self.sat.block_sum_d::<D>(D, 0, &int_lo, &int_hi);
         }
 
-        // boundary shell, partitioned by the first dimension where a
-        // cell sits at a partial edge: dimensions before it stay in the
-        // interior range, dimensions after it roam the full overlap
-        // range (each shell cell is covered exactly once). Along the
-        // innermost roaming dimension, consecutive cells sharing one
-        // anchor are **merged into a single anchored traversal** over
-        // their union (the anchor covers each cell, hence the union) —
-        // this is what makes shell work track the *local* tree scale: a
-        // coarse leaf spanning thirty cells costs one contribution, not
-        // thirty.
-        let anchors: &[u32] = &self.anchors;
-        let mut coord = [0usize; D];
-        let mut start = [0usize; D];
-        let mut end = [0usize; D];
-        let mut rlo = [0.0f64; D];
-        let mut rhi = [0.0f64; D];
+        // the partly covered edge cells along each dimension (one when
+        // the query starts and ends inside the same cell)
+        let mut edges = [[0usize; 2]; D];
+        let mut n_edges = [0usize; D];
         for k in 0..d {
-            let mut edges = [0usize; 2];
-            let mut n_edges = 0;
             if partial_lo[k] {
-                edges[n_edges] = lo_c[k];
-                n_edges += 1;
+                edges[k][n_edges[k]] = lo_c[k];
+                n_edges[k] += 1;
             }
             if partial_hi[k] && (hi_c[k] != lo_c[k] || !partial_lo[k]) {
-                edges[n_edges] = hi_c[k];
-                n_edges += 1;
+                edges[k][n_edges[k]] = hi_c[k];
+                n_edges[k] += 1;
             }
-            // innermost roaming dimension (none when d == 1)
-            let run_dim = (0..d).rev().find(|&j| j != k);
-            'edges: for &e in &edges[..n_edges] {
-                coord[k] = e;
-                rlo[k] = qlo[k].max(self.geo.boundary(k, e));
-                rhi[k] = qhi[k].min(self.geo.boundary(k, e + 1)).max(rlo[k]);
-                for j in 0..d {
-                    if j == k {
-                        continue;
-                    }
-                    let (s, t) = if j < k {
-                        (int_lo[j], int_hi[j])
-                    } else {
-                        (lo_c[j], hi_c[j] + 1)
-                    };
-                    if s >= t {
-                        continue 'edges; // an earlier dimension has no interior cells
-                    }
-                    start[j] = s;
-                    end[j] = t;
-                    coord[j] = s;
-                }
-                let Some(run_dim) = run_dim else {
-                    // d == 1: the edge is a single cell
-                    let anchor = anchors[e];
-                    acc = self.shell_piece::<D>(frozen, anchor, &rlo[..d], &rhi[..d], stack, acc);
-                    continue 'edges;
-                };
-                let run_stride = self.geo.strides[run_dim];
-                'rows: loop {
-                    // one contiguous run of cells along run_dim
-                    let mut row_base = 0usize;
-                    for j in 0..d {
-                        if j != run_dim {
-                            row_base += coord[j] * self.geo.strides[j];
-                            if j != k {
-                                rlo[j] = qlo[j].max(self.geo.boundary(j, coord[j]));
-                                rhi[j] = qhi[j].min(self.geo.boundary(j, coord[j] + 1)).max(rlo[j]);
-                            }
+        }
+        let mut start = [0usize; D];
+        let mut end = [0usize; D];
+
+        if D == 1 {
+            for &e in &edges[0][..n_edges[0]] {
+                (start[0], end[0]) = (e, e + 1);
+                acc = self.walk_block::<D>(frozen, qlo, qhi, &start, &end, 0, stack, acc);
+            }
+            return acc;
+        }
+
+        // faces: cells cut along k only, so every other dimension needs
+        // interior cells
+        for k in 0..d {
+            if (0..d).any(|j| j != k && int_lo[j] == int_hi[j]) {
+                continue;
+            }
+            for &e in &edges[k][..n_edges[k]] {
+                (start, end) = (int_lo, int_hi);
+                (start[k], end[k]) = (e, e + 1);
+                acc = self.face::<D>(frozen, qlo, qhi, k, &start, &end, stack, acc);
+            }
+        }
+
+        // cells cut along two or more dimensions, partitioned by the
+        // first two such, k < m: dimensions before m (except k) stay in
+        // the interior range, dimensions after m roam the full overlap
+        // range, so each such cell is covered exactly once
+        for k in 0..d {
+            for m in k + 1..d {
+                // merge equal anchors along the innermost free dimension
+                let run_dim = (0..d).rev().find(|&j| j != k && j != m).unwrap_or(m);
+                for &ek in &edges[k][..n_edges[k]] {
+                    for &em in &edges[m][..n_edges[m]] {
+                        for j in 0..d {
+                            (start[j], end[j]) = if j == k {
+                                (ek, ek + 1)
+                            } else if j == m {
+                                (em, em + 1)
+                            } else if j < m {
+                                (int_lo[j], int_hi[j])
+                            } else {
+                                (lo_c[j], hi_c[j] + 1)
+                            };
                         }
-                    }
-                    let t = end[run_dim];
-                    let mut j0 = start[run_dim];
-                    while j0 < t {
-                        let idx = row_base + j0 * run_stride;
-                        let anchor = anchors[idx];
-                        let mut j1 = j0 + 1;
-                        while j1 < t && anchors[row_base + j1 * run_stride] == anchor {
-                            j1 += 1;
-                        }
-                        rlo[run_dim] = qlo[run_dim].max(self.geo.boundary(run_dim, j0));
-                        rhi[run_dim] = qhi[run_dim]
-                            .min(self.geo.boundary(run_dim, j1))
-                            .max(rlo[run_dim]);
-                        let lv = self.leaf_vol[idx];
-                        if lv != 0.0 {
-                            // leaf anchor with positive volume: r ⊆ anchor
-                            // (the anchor covers the whole run box), so
-                            // `leaf_contribution`'s overlap product
-                            // collapses to |r| bitwise, and count/volume
-                            // come from the precomputed grid-local arrays
-                            // — no node-array loads at all. A zero-width
-                            // r adds a signed zero where the walk adds
-                            // nothing; values agree exactly either way.
-                            let mut o = 1.0;
-                            for j in 0..d {
-                                o *= rhi[j] - rlo[j];
-                            }
-                            let c = self.leaf_count[idx] * o;
-                            acc += if lv < 0.0 { c * (-lv) } else { c / lv };
-                        } else {
-                            // leaf_vol == 0.0 is the "internal anchor"
-                            // sentinel (degenerate leaves store volume 1
-                            // with count 0 and stay on the fast path)
-                            debug_assert!(frozen.child_count()[anchor as usize] > 0);
-                            acc = frozen.accumulate_span_d::<D>(
-                                anchor,
-                                &rlo[..d],
-                                &rhi[..d],
-                                stack,
-                                acc,
+                        if (0..d).all(|j| start[j] < end[j]) {
+                            acc = self.walk_block::<D>(
+                                frozen, qlo, qhi, &start, &end, run_dim, stack, acc,
                             );
                         }
-                        j0 = j1;
-                    }
-                    // advance the odometer over dimensions != k, != run_dim
-                    let mut j = d;
-                    loop {
-                        if j == 0 {
-                            break 'rows;
-                        }
-                        j -= 1;
-                        if j == k || j == run_dim {
-                            continue;
-                        }
-                        coord[j] += 1;
-                        if coord[j] < end[j] {
-                            break;
-                        }
-                        coord[j] = start[j];
                     }
                 }
             }
         }
         acc
+    }
+
+    /// `[qlo, qhi) ∩` the cells `[s, t)` along dimension `k`, as a span
+    /// (empty spans collapse to zero width).
+    #[inline]
+    fn clip(&self, qlo: &[f64], qhi: &[f64], k: usize, s: usize, t: usize) -> (f64, f64) {
+        let lo = qlo[k].max(self.geo.boundary(k, s));
+        (lo, qhi[k].min(self.geo.boundary(k, t)).max(lo))
+    }
+
+    /// One face of the boundary shell: the cells `[start, end)`, a single
+    /// cell thick along `k` and inside the interior range along every
+    /// other dimension. Leaf-anchored cells contribute the cut width
+    /// times the face table's block sum; each internal-anchor run
+    /// overlapping the face is walked once from its anchor.
+    #[allow(clippy::too_many_arguments)]
+    fn face<const D: usize>(
+        &self,
+        frozen: &FrozenSynopsis,
+        qlo: &[f64],
+        qhi: &[f64],
+        k: usize,
+        start: &[usize; D],
+        end: &[usize; D],
+        stack: &mut Vec<u32>,
+        acc: f64,
+    ) -> f64 {
+        let mut rlo = [0.0f64; D];
+        let mut rhi = [0.0f64; D];
+        (rlo[k], rhi[k]) = self.clip(qlo, qhi, k, start[k], end[k]);
+        let table = &self.faces[k];
+        let leaves = table.block_sum_d::<D>(k, start[k] * table.strides[k], start, end);
+        let mut acc = acc + (rhi[k] - rlo[k]) * leaves;
+
+        // lines along d − 1, or along d − 2 for the faces normal to d − 1
+        let runs = &self.runs[(k == D - 1) as usize];
+        let w = runs.dim;
+        let (s, t) = (start[w], end[w]);
+        let mut coord = *start;
+        loop {
+            let mut line = 0usize;
+            for j in 0..D {
+                if j != w {
+                    line += coord[j] * runs.line_strides[j];
+                    if j != k {
+                        (rlo[j], rhi[j]) = self.clip(qlo, qhi, j, coord[j], coord[j] + 1);
+                    }
+                }
+            }
+            for run in runs.overlapping(line, s, t) {
+                let (a, b) = ((run.start as usize).max(s), (run.end as usize).min(t));
+                (rlo[w], rhi[w]) = self.clip(qlo, qhi, w, a, b);
+                acc = frozen.accumulate_span_d::<D>(run.anchor, &rlo, &rhi, stack, acc);
+            }
+            if !advance(&mut coord, start, end, w) {
+                return acc;
+            }
+        }
+    }
+
+    /// The shell cells `[start, end)`, row by row along `run_dim`, with
+    /// consecutive cells sharing an anchor merged into one anchored
+    /// traversal over their union (the anchor covers each cell, hence
+    /// the union): a coarse leaf spanning thirty cells costs one piece.
+    #[allow(clippy::too_many_arguments)]
+    fn walk_block<const D: usize>(
+        &self,
+        frozen: &FrozenSynopsis,
+        qlo: &[f64],
+        qhi: &[f64],
+        start: &[usize; D],
+        end: &[usize; D],
+        run_dim: usize,
+        stack: &mut Vec<u32>,
+        mut acc: f64,
+    ) -> f64 {
+        let anchors: &[u32] = &self.anchors;
+        let run_stride = self.geo.strides[run_dim];
+        let mut rlo = [0.0f64; D];
+        let mut rhi = [0.0f64; D];
+        let mut coord = *start;
+        loop {
+            let mut row_base = 0usize;
+            for j in 0..D {
+                if j != run_dim {
+                    row_base += coord[j] * self.geo.strides[j];
+                    (rlo[j], rhi[j]) = self.clip(qlo, qhi, j, coord[j], coord[j] + 1);
+                }
+            }
+            let t = end[run_dim];
+            let mut j0 = start[run_dim];
+            while j0 < t {
+                let anchor = anchors[row_base + j0 * run_stride];
+                let mut j1 = j0 + 1;
+                while j1 < t && anchors[row_base + j1 * run_stride] == anchor {
+                    j1 += 1;
+                }
+                (rlo[run_dim], rhi[run_dim]) = self.clip(qlo, qhi, run_dim, j0, j1);
+                acc = self.shell_piece::<D>(frozen, anchor, &rlo, &rhi, stack, acc);
+                j0 = j1;
+            }
+            if !advance(&mut coord, start, end, run_dim) {
+                return acc;
+            }
+        }
     }
 
     /// One boundary-shell piece: the anchored traversal of `frozen` over
@@ -723,13 +781,17 @@ impl CellGrid {
 }
 
 /// Power-of-two exponent for the default per-dimension resolution:
-/// ~1 cell per node spread across `d` dimensions, capped so `2^(pow*d)`
-/// can never exceed [`MAX_CELLS`] (for d ≥ 3 the total-cell cap binds
-/// before the per-dimension ceiling of 1024 does).
+/// ~1 cell per node spread across `d` dimensions, at most 1024 cells per
+/// dimension, and capped so the grid fits [`MAX_CELLS`] and
+/// [`MAX_GRID_BYTES`] (for d ≥ 3 the caps bind before the per-dimension
+/// ceiling does).
 fn default_pow(nodes: usize, d: usize) -> u32 {
     let per_dim = (nodes.clamp(64, MAX_CELLS) as f64).powf(1.0 / d as f64);
-    let pow = per_dim.log2().ceil().max(0.0) as u32;
-    pow.min(10).min(MAX_CELLS.ilog2() / d as u32)
+    let mut pow = (per_dim.log2().ceil().max(0.0) as u32).min(10);
+    while pow > 0 && !fits_budget(&vec![1usize << pow; d]) {
+        pow -= 1;
+    }
+    pow
 }
 
 /// Verify the parent-equals-children invariant grid routing relies on.
@@ -804,51 +866,258 @@ fn anchor_of_cell(frozen: &FrozenSynopsis, clo: &[f64], chi: &[f64]) -> u32 {
     }
 }
 
-/// Padded d-dimensional summed-area table of `values` (row-major over
-/// `bins`), shape `bins[k] + 1` per dimension. Deterministic in its
-/// inputs, so persisted grids rebuild the exact same table.
-fn build_sat(bins: &[usize], values: &[f64]) -> (Vec<f64>, Vec<usize>) {
-    let d = bins.len();
-    let sat_shape: Vec<usize> = bins.iter().map(|b| b + 1).collect();
-    let mut sat_strides = vec![1usize; d];
-    for k in (0..d.saturating_sub(1)).rev() {
-        sat_strides[k] = sat_strides[k + 1] * sat_shape[k + 1];
-    }
-    let sat_total: usize = sat_shape.iter().product();
-    let mut sat = vec![0.0f64; sat_total];
+/// A padded d-dimensional prefix-sum table over the grid's cells: along
+/// every dimension except `skip` it holds `bins[j] + 1` entries, entry
+/// `p_j` summing the cells `c_j < p_j`; along `skip` (the face tables'
+/// normal) it keeps the `bins[skip]` cells apart. With no `skip` this is
+/// the summed-area table.
+#[derive(Debug, Clone)]
+struct PrefixTable {
+    data: Vec<f64>,
+    /// Row-major strides over the padded shape.
+    strides: [usize; MAX_DIMS],
+}
 
-    // place values at offset +1 in every dimension
-    let mut val_strides = vec![1usize; d];
-    for k in (0..d.saturating_sub(1)).rev() {
-        val_strides[k] = val_strides[k + 1] * bins[k + 1];
-    }
-    let mut coord = vec![0usize; d];
-    for (i, v) in values.iter().enumerate() {
-        let mut rem = i;
-        for k in 0..d {
-            coord[k] = rem / val_strides[k];
-            rem %= val_strides[k];
+impl PrefixTable {
+    /// Fill with `value(cell index, cell coordinates)` in one row-major
+    /// pass, then sum along each summed dimension in turn. Deterministic
+    /// in its inputs, so persisted grids rebuild the exact same table.
+    fn build(
+        bins: &[usize],
+        skip: Option<usize>,
+        mut value: impl FnMut(usize, &[usize]) -> f64,
+    ) -> Self {
+        let d = bins.len();
+        let mut pad = [0usize; MAX_DIMS];
+        let mut shape = [0usize; MAX_DIMS];
+        for j in 0..d {
+            pad[j] = usize::from(Some(j) != skip);
+            shape[j] = bins[j] + pad[j];
         }
-        let off: usize = (0..d).map(|k| (coord[k] + 1) * sat_strides[k]).sum();
-        sat[off] = *v;
-    }
-    // cumulative sum along each dimension in turn
-    for k in 0..d {
-        let stride = sat_strides[k];
-        let dim_len = sat_shape[k];
-        let outer: usize = sat_shape[..k].iter().product();
-        let inner: usize = sat_shape[k + 1..].iter().product();
-        for o in 0..outer {
-            for i in 1..dim_len {
-                let base = o * stride * dim_len + i * stride;
-                let prev = base - stride;
-                for j in 0..inner {
-                    sat[base + j] += sat[prev + j];
+        let mut strides = [0usize; MAX_DIMS];
+        strides[d - 1] = 1;
+        for j in (0..d - 1).rev() {
+            strides[j] = strides[j + 1] * shape[j + 1];
+        }
+        let mut data = vec![0.0f64; strides[0] * shape[0]];
+
+        // one contiguous row of cells along the last dimension at a time
+        let last = d - 1;
+        let mut coord = [0usize; MAX_DIMS];
+        let mut idx = 0usize;
+        for _ in 0..bins[..last].iter().product::<usize>() {
+            let base: usize = (0..d).map(|j| (coord[j] + pad[j]) * strides[j]).sum();
+            for (c, x) in data[base..base + bins[last]].iter_mut().enumerate() {
+                coord[last] = c;
+                *x = value(idx + c, &coord[..d]);
+            }
+            idx += bins[last];
+            coord[last] = 0;
+            for j in (0..last).rev() {
+                coord[j] += 1;
+                if coord[j] < bins[j] {
+                    break;
+                }
+                coord[j] = 0;
+            }
+        }
+        for k in (0..d).filter(|&k| pad[k] == 1) {
+            let stride = strides[k];
+            for block in data.chunks_exact_mut(stride * shape[k]) {
+                if stride == 1 {
+                    let mut sum = 0.0;
+                    for x in block {
+                        sum += *x;
+                        *x = sum;
+                    }
+                    continue;
+                }
+                for i in 1..shape[k] {
+                    let (done, rest) = block.split_at_mut(i * stride);
+                    let prev = &done[(i - 1) * stride..];
+                    for (x, p) in rest[..stride].iter_mut().zip(prev) {
+                        *x += *p;
+                    }
                 }
             }
         }
+        Self { data, strides }
     }
-    (sat, sat_strides)
+
+    /// Sum over the block `[a, b)` along every summed dimension, at the
+    /// fixed offset `base` along `skip` (`D` for none): `2^(d−1)` or
+    /// `2^d` lookups with inclusion–exclusion signs, with the
+    /// dimensionality known at compile time.
+    #[inline]
+    fn block_sum_d<const D: usize>(
+        &self,
+        skip: usize,
+        base: usize,
+        a: &[usize],
+        b: &[usize],
+    ) -> f64 {
+        let mut total = 0.0;
+        for mask in 0..(1usize << D) {
+            if (mask >> skip) & 1 == 1 {
+                continue;
+            }
+            let mut off = base;
+            let mut sign = 1.0;
+            for k in 0..D {
+                if k == skip {
+                    continue;
+                }
+                let idx = if (mask >> k) & 1 == 1 {
+                    sign = -sign;
+                    a[k]
+                } else {
+                    b[k]
+                };
+                off += idx * self.strides[k];
+            }
+            total += sign * self.data[off];
+        }
+        total
+    }
+}
+
+/// A maximal run `[start, end)` of cells along one line that share the
+/// internal anchor `anchor`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    start: u32,
+    end: u32,
+    anchor: u32,
+}
+
+/// The internal-anchor runs of every line of cells along dimension
+/// `dim`, in CSR form: line `l`'s runs are `runs[offsets[l]..offsets[l +
+/// 1]]`, sorted by `start`. Leaf-anchored cells belong to no run.
+#[derive(Debug, Clone)]
+struct RunIndex {
+    dim: usize,
+    /// A cell's line is `Σ_{j≠dim} coord[j] × line_strides[j]`.
+    line_strides: [usize; MAX_DIMS],
+    offsets: Vec<u32>,
+    runs: Vec<Run>,
+}
+
+impl RunIndex {
+    fn build(geo: &Geometry, anchors: &[u32], dim: usize, internal: impl Fn(u32) -> bool) -> Self {
+        let (len, stride) = (geo.bins[dim], geo.strides[dim]);
+        let lines = geo.cells() / len;
+        let mut line_strides = [0usize; MAX_DIMS];
+        for (j, s) in line_strides.iter_mut().enumerate().take(geo.dims()) {
+            *s = match j.cmp(&dim) {
+                std::cmp::Ordering::Less => geo.strides[j] / len,
+                std::cmp::Ordering::Equal => 0,
+                std::cmp::Ordering::Greater => geo.strides[j],
+            };
+        }
+        let mut offsets = Vec::with_capacity(lines + 1);
+        let mut runs = Vec::new();
+        offsets.push(0);
+        for line in 0..lines {
+            let first = line / stride * len * stride + line % stride;
+            let anchor = |c: usize| anchors[first + c * stride];
+            let mut c = 0;
+            while c < len {
+                let a = anchor(c);
+                let mut e = c + 1;
+                while e < len && anchor(e) == a {
+                    e += 1;
+                }
+                if internal(a) {
+                    runs.push(Run {
+                        start: c as u32,
+                        end: e as u32,
+                        anchor: a,
+                    });
+                }
+                c = e;
+            }
+            offsets.push(runs.len() as u32);
+        }
+        Self {
+            dim,
+            line_strides,
+            offsets,
+            runs,
+        }
+    }
+
+    /// The runs of `line` overlapping the cells `[s, t)`, found by
+    /// binary search.
+    #[inline]
+    fn overlapping(&self, line: usize, s: usize, t: usize) -> impl Iterator<Item = &Run> {
+        let runs = &self.runs[self.offsets[line] as usize..self.offsets[line + 1] as usize];
+        let first = runs.partition_point(|r| r.end as usize <= s);
+        runs[first..]
+            .iter()
+            .take_while(move |r| (r.start as usize) < t)
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.offsets.len() * std::mem::size_of::<u32>()
+            + self.runs.len() * std::mem::size_of::<Run>()
+    }
+}
+
+/// Step `coord` through the block `[start, end)` in row-major order,
+/// leaving dimension `skip` alone; `false` once the block is exhausted.
+#[inline]
+fn advance<const D: usize>(
+    coord: &mut [usize; D],
+    start: &[usize; D],
+    end: &[usize; D],
+    skip: usize,
+) -> bool {
+    for j in (0..D).rev() {
+        if j == skip {
+            continue;
+        }
+        coord[j] += 1;
+        if coord[j] < end[j] {
+            return true;
+        }
+        coord[j] = start[j];
+    }
+    false
+}
+
+/// The bytes [`CellGrid::assemble`] allocates for `bins`: anchors,
+/// values, the summed-area table, the face tables, and the run index at
+/// its worst case (every cell its own run, in both lists). `None` past
+/// [`MAX_CELLS`] or on overflow.
+fn grid_bytes(bins: &[usize]) -> Option<usize> {
+    let d = bins.len();
+    let cells = bins
+        .iter()
+        .try_fold(1usize, |acc, &b| acc.checked_mul(b))
+        .filter(|&c| c <= MAX_CELLS)?;
+    let padded = |skip: Option<usize>| {
+        (0..d).try_fold(1usize, |acc, j| {
+            acc.checked_mul(bins[j].checked_add(usize::from(Some(j) != skip))?)
+        })
+    };
+    let mut f64s = cells.checked_add(padded(None)?)?;
+    let mut bytes = cells * std::mem::size_of::<u32>();
+    if d >= 2 {
+        for k in 0..d {
+            f64s = f64s.checked_add(padded(Some(k))?)?;
+        }
+        for dim in [d - 1, d - 2] {
+            let lines = cells / bins[dim];
+            bytes += cells * std::mem::size_of::<Run>() + (lines + 1) * std::mem::size_of::<u32>();
+        }
+    }
+    bytes.checked_add(f64s.checked_mul(std::mem::size_of::<f64>())?)
+}
+
+/// Whether a grid of `bins` stays within [`MAX_CELLS`] and
+/// [`MAX_GRID_BYTES`].
+fn fits_budget(bins: &[usize]) -> bool {
+    grid_bytes(bins).is_some_and(|b| b <= MAX_GRID_BYTES)
 }
 
 /// The persisted columns of a [`CellGrid`], staged for later assembly.
@@ -958,12 +1227,13 @@ impl GridRoutedSynopsis {
     /// with the builders' bisection boundaries, so each cell nests inside
     /// the tree's boxes all the way down: the anchor descent reaches a
     /// leaf (or a node at the cell's own scale) instead of stopping at
-    /// the first straddled coarse boundary, and boundary-shell work
-    /// stays proportional to the local tree complexity. Non-dyadic
-    /// resolutions remain *correct* (the equality contract never depends
-    /// on alignment), just slower. Finer grids trade anchor-scan cache
-    /// traffic for shallower shell walks; cells at about the leaf scale
-    /// balance the two.
+    /// the first straddled coarse boundary, so most shell cells are
+    /// leaf-anchored and answered by the face tables, and the anchored
+    /// walks that remain stay proportional to the local tree
+    /// complexity. Non-dyadic resolutions remain *correct* (the equality
+    /// contract never depends on alignment), just slower. A finer grid
+    /// costs memory and build time (20 + 8d bytes per cell), not query
+    /// time on the faces.
     pub fn default_bins(frozen: &FrozenSynopsis) -> Vec<usize> {
         let d = frozen.dims();
         vec![1usize << default_pow(frozen.node_count(), d); d]
@@ -1319,8 +1589,34 @@ mod tests {
                     cells.is_some_and(|c| c <= MAX_CELLS),
                     "d = {d}, nodes = {nodes}: 2^({pow}*{d}) exceeds MAX_CELLS"
                 );
+                let bins = vec![1usize << pow; d];
+                assert!(
+                    fits_budget(&bins),
+                    "d = {d}, nodes = {nodes}: {bins:?} needs {:?} bytes",
+                    grid_bytes(&bins)
+                );
             }
         }
+    }
+
+    #[test]
+    fn skewed_resolutions_are_refused_before_allocating() {
+        // 2^22 cells is within MAX_CELLS, but tables padded along seven
+        // one-bin dimensions would hold 2^7 entries per cell (≈4.3 GB each)
+        let tree = privtree_core::tree::Tree::with_root(Rect::unit(8));
+        let frozen = FrozenSynopsis::from_tree(&tree, &[8.0], "one node");
+        let mut bins = vec![1usize; 8];
+        bins[0] = 1 << 22;
+        assert!(matches!(
+            GridRoutedSynopsis::with_bins(frozen.clone(), &bins),
+            Err(GridRouteError::BadResolution(_))
+        ));
+        // columns of the right length, as a decoded file would supply
+        let cells = 1 << 22;
+        assert!(matches!(
+            CellGrid::from_parts(&frozen, &bins, vec![0u32; cells], vec![0.0f64; cells]),
+            Err(GridRouteError::BadResolution(_))
+        ));
     }
 
     #[test]
@@ -1341,45 +1637,114 @@ mod tests {
     }
 
     #[test]
-    fn three_dim_domain_matches_frozen() {
-        let mut rng = seeded(21);
-        let mut ps = PointSet::new(3);
-        for _ in 0..3000 {
-            ps.push(&[
-                rng.random::<f64>() * 0.4,
-                rng.random::<f64>(),
-                0.5 + rng.random::<f64>() * 0.3,
-            ]);
-        }
-        let frozen = privtree_synopsis(
-            &ps,
-            Rect::unit(3),
-            SplitConfig::full(3),
-            Epsilon::new(1.0).unwrap(),
-            &mut seeded(22),
-        )
-        .unwrap()
-        .freeze();
-        let grid = GridRoutedSynopsis::with_bins(frozen.clone(), &[9, 6, 11]).unwrap();
-        let mut rng = seeded(23);
-        for _ in 0..120 {
-            let mut lo = [0.0; 3];
-            let mut hi = [0.0; 3];
-            for k in 0..3 {
-                let (a, b) = (rng.random::<f64>(), rng.random::<f64>());
-                lo[k] = a.min(b);
-                hi[k] = a.max(b);
+    fn face_runs_match_frozen_at_every_range_end() {
+        // a coarse, non-dyadic grid: cells straddling the tree's split
+        // lines are anchored at internal nodes, in runs along both axes
+        let frozen = sample_frozen(31);
+        let bins = [7usize, 9];
+        let grid = GridRoutedSynopsis::with_bins(frozen.clone(), &bins).unwrap();
+        let g = grid.grid();
+        let internal = |c: [usize; 2]| frozen.child_count()[g.anchor_at(&c) as usize] > 0;
+        let long_run = |along: usize| {
+            (0..bins[1 - along]).any(|e| {
+                (1..bins[along]).any(|c| {
+                    let (mut x, mut y) = ([0usize; 2], [0usize; 2]);
+                    (x[along], x[1 - along], y[along], y[1 - along]) = (c - 1, e, c, e);
+                    internal(x) && g.anchor_at(&x) == g.anchor_at(&y)
+                })
+            })
+        };
+        assert!(
+            long_run(0) && long_run(1),
+            "the grid needs multi-cell internal runs"
+        );
+        let bound = |k: usize, c: usize| {
+            let mut coord = [0usize; 2];
+            coord[k] = c.min(bins[k] - 1);
+            let cell = g.cell_rect(&coord);
+            if c < bins[k] {
+                cell.lo()[k]
+            } else {
+                cell.hi()[k]
             }
-            let q = RangeQuery::new(Rect::new(&lo, &hi));
-            let a = frozen.answer(&q);
-            let b = grid.answer(&q);
-            assert!(
-                (a - b).abs() <= 1e-9 * a.abs().max(1.0),
-                "3-d: {a} vs {b} on {}",
-                q.rect
-            );
+        };
+        let width = |k: usize, c: usize| bound(k, c + 1) - bound(k, c);
+        let mut queries = Vec::new();
+        for along in 0..2 {
+            let cut = 1 - along;
+            // every cell range [a, b) along one axis, each end aligned to
+            // a cell boundary or cut inside its cell; a cut inside one
+            // cell along the other, so the range is one face
+            for a in 0..bins[along] {
+                for b in a + 1..=bins[along] {
+                    for (cut_lo, cut_hi) in
+                        [(false, false), (true, false), (false, true), (true, true)]
+                    {
+                        let lo =
+                            bound(along, a) + if cut_lo { 0.37 * width(along, a) } else { 0.0 };
+                        let hi = if cut_hi {
+                            bound(along, b - 1) + 0.61 * width(along, b - 1)
+                        } else {
+                            bound(along, b)
+                        };
+                        for e in 0..bins[cut] {
+                            let (mut qlo, mut qhi) = ([0.0; 2], [0.0; 2]);
+                            (qlo[along], qhi[along]) = (lo, hi);
+                            qlo[cut] = bound(cut, e) + 0.25 * width(cut, e);
+                            qhi[cut] = bound(cut, e) + 0.75 * width(cut, e);
+                            queries.push(RangeQuery::new(Rect::new(&qlo, &qhi)));
+                        }
+                    }
+                }
+            }
         }
-        assert_matches(&frozen, &grid, &few_cell_queries(grid.grid(), 400, 24));
+        assert_matches(&frozen, &grid, &queries);
+    }
+
+    #[test]
+    fn one_and_three_dim_domains_match_frozen() {
+        // every shell cell of a 1-d grid is an edge cell: it has no faces
+        let one: &[&[usize]] = &[&[1], &[7], &[64], &[1000]];
+        let three: &[&[usize]] = &[&[9, 6, 11]];
+        for (dims, resolutions) in [(1usize, one), (3, three)] {
+            let mut rng = seeded(21);
+            let mut ps = PointSet::new(dims);
+            for _ in 0..3000 {
+                let p = [
+                    rng.random::<f64>() * 0.4,
+                    rng.random::<f64>(),
+                    0.5 + rng.random::<f64>() * 0.3,
+                ];
+                ps.push(&p[..dims]);
+            }
+            let frozen = privtree_synopsis(
+                &ps,
+                Rect::unit(dims),
+                SplitConfig::full(dims),
+                Epsilon::new(1.0).unwrap(),
+                &mut seeded(22),
+            )
+            .unwrap()
+            .freeze();
+            for &bins in resolutions {
+                let grid = GridRoutedSynopsis::with_bins(frozen.clone(), bins).unwrap();
+                let mut rng = seeded(23);
+                let random: Vec<RangeQuery> = (0..120)
+                    .map(|_| {
+                        let mut lo = [0.0; 3];
+                        let mut hi = [0.0; 3];
+                        for k in 0..dims {
+                            let (a, b) = (rng.random::<f64>(), rng.random::<f64>());
+                            lo[k] = a.min(b);
+                            hi[k] = a.max(b);
+                        }
+                        RangeQuery::new(Rect::new(&lo[..dims], &hi[..dims]))
+                    })
+                    .collect();
+                assert_matches(&frozen, &grid, &random);
+                assert_matches(&frozen, &grid, &few_cell_queries(grid.grid(), 400, 24));
+            }
+        }
     }
 
     #[test]

@@ -22,8 +22,12 @@
 //! * [`grid_route`] — [`grid_route::GridRoutedSynopsis`], the grid-routed
 //!   accelerator over a frozen arena: a dense uniform cell grid built at
 //!   freeze time (per-cell anchors + summed-area table of exact cell
-//!   contributions) answers the interior of a query in O(2^d) lookups and
-//!   the boundary shell with short cell-anchored traversals.
+//!   contributions) answers the interior of a query in O(2^d) lookups.
+//!   The boundary shell is face lookups plus anchored walks: each face
+//!   answers its leaf-anchored cells from a per-dimension prefix table
+//!   in O(2^(d−1)) lookups and walks its runs of internal-anchored cells
+//!   from their anchors; cells cut along two or more dimensions take
+//!   short cell-anchored traversals.
 //! * [`sharded`] — [`sharded::ShardedSynopsis`], multi-arena serving with
 //!   domain-based query routing: one frozen arena per epoch/region shard
 //!   (or per cut subtree of one release, answering bit-identically to the

@@ -46,7 +46,9 @@
 //! ([`ShardedSynopsis::with_shard_grids`]): each shard arena gets its own
 //! [`crate::grid_route::CellGrid`], so the heavy part of a query — the
 //! walk inside the shard the query lands on — resolves through
-//! summed-area interior lookups plus cell-anchored boundary traversals.
+//! summed-area interior lookups, face-table lookups for the boundary
+//! shell, and anchored walks where a shell cell's anchor is internal or
+//! the cell is cut along two or more dimensions.
 //! Grid-routed shard answers match the plain descent to float
 //! reassociation error (≤ 1e-9 relative; the bit-identity pin applies to
 //! the *ungridded* configuration).

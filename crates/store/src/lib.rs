@@ -8,16 +8,21 @@
 //! parsing on every boot. This crate owns the durable, fast-loading
 //! store underneath the engine:
 //!
-//! * [`format`] — the **`privtree-bin v1`** binary columnar format: a
-//!   fixed header (dims / node count / cell count, so the loader
-//!   preallocates exactly once) followed by length-prefixed,
+//! * [`format`](mod@format) — the **`privtree-bin v1`** binary columnar
+//!   format: a fixed header (dims / node count / cell count, so the
+//!   loader preallocates exactly once) followed by length-prefixed,
 //!   CRC-checksummed little-endian sections holding the frozen arena's
 //!   structure-of-arrays columns and, optionally, the cell grid's
-//!   anchors and contributions (the summed-area table is rebuilt
-//!   deterministically on load, exactly like the text path). Decoding is
-//!   one validated pass over the bytes — no per-line parsing, no
-//!   intermediate strings. `crates/store/README.md` specifies the layout
-//!   byte by byte.
+//!   anchors and contributions. The grid's derived tables — the
+//!   summed-area table, the boundary shell's face tables and its run
+//!   index — are never stored: they are rebuilt deterministically from
+//!   `grid-anchors`, `grid-values` and the arena on load (on a staged
+//!   grid's first use), exactly like the text path, so a file cannot
+//!   supply table values, and a resolution whose tables would exceed the
+//!   grid allocation bound is refused before anything is allocated.
+//!   Decoding is one validated pass over the bytes — no per-line
+//!   parsing, no intermediate strings. `crates/store/README.md`
+//!   specifies the layout byte by byte.
 //! * [`frame`] — the section convention lifted out of the file format
 //!   as generic **stream frames**: `tag | flags | length | payload |
 //!   optional CRC-32`, with the same validate-size-before-allocate

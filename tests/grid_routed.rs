@@ -12,6 +12,8 @@
 //!   same box whenever the entry node covers it — the property the
 //!   boundary shell is built on.
 
+use privtree_suite::datagen::spatial::road_like;
+use privtree_suite::datagen::workload::{range_queries, QuerySize};
 use privtree_suite::dp::budget::Epsilon;
 use privtree_suite::dp::rng::seeded;
 use privtree_suite::runtime::WorkerPool;
@@ -199,6 +201,21 @@ fn three_and_four_dim_domains_match_frozen() {
             frozen.answer(&whole).to_bits(),
             grid.answer(&whole).to_bits()
         );
+    }
+}
+
+/// The benchmark's release shape: a deep, skewed road-like release at
+/// the serving benchmark's smoke scale (≈24.6k nodes on the default
+/// 256×256 grid), under the three Section 6.1 query classes.
+#[test]
+fn road_release_matches_frozen() {
+    let frozen = release(2, &road_like(204_270, 0xda7a), 401);
+    let grid = GridRoutedSynopsis::build(frozen.clone()).unwrap();
+    assert_eq!(grid.grid().bins(), &[256, 256]);
+    for size in QuerySize::all() {
+        for q in range_queries(&Rect::unit(2), size, 1000, 17) {
+            assert_close(&frozen, &grid, &q);
+        }
     }
 }
 
