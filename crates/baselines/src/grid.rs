@@ -135,7 +135,7 @@ pub struct NoisyGrid {
     bins: Vec<usize>,
     values: Vec<f64>,
     /// padded inclusive prefix sums: `sat[i1..id]` = Σ of values over cells
-    /// with coordinate vector < (i1..id); shape is (bins[k]+1) per dim
+    /// with coordinate vector < (i1..id); shape is `bins[k] + 1` per dim
     sat: Vec<f64>,
     sat_strides: Vec<usize>,
     label: &'static str,

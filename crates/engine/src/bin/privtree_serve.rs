@@ -8,10 +8,14 @@
 //! workload over **stdin** (default) or a **TCP socket**
 //! (`--listen ADDR`). Both transports speak both protocols — the text
 //! line protocol, or `privtree-wire v1` frames after a `0xB7` first
-//! byte. Queries go through the pooled grid-routed read path; epoch
-//! operations (`add`/`swap`/`retire`) rebuild only the routing arena
-//! and the touched release's grid while in-flight readers keep their
-//! snapshot.
+//! byte. Queries go through the pooled read path: a shard that carries
+//! a cell grid answers grid-routed, any other shard through the plain
+//! frozen walk (same answers, to float reassociation). Shipped grids
+//! are used either way; `--grids` also builds a default grid for every
+//! release that arrives without one, at boot and on each `add`/`swap`/
+//! `load`. Epoch operations (`add`/`swap`/`retire`) rebuild only the
+//! routing arena and, with `--grids`, the touched release's grid while
+//! in-flight readers keep their snapshot.
 //!
 //! ```text
 //! privtree-serve [--grids] [--listen ADDR] [--catalog DIR]
@@ -28,10 +32,10 @@
 //! catalog and add-or-swap one back from it. The warm start is
 //! **lossy**: a key whose file is missing, torn, or corrupt is
 //! quarantined (logged at startup, reported by `stats`) and every clean
-//! release serves — a degraded boot beats no boot. Catalog opens are
-//! **zero-copy**: binary releases are memory-mapped straight out of the
-//! page cache, columns borrow the mapping, and shipped grids assemble
-//! lazily on first use.
+//! release serves — a degraded boot beats no boot. A release whose
+//! shipped grid does not fit its arena is damaged too. Catalog opens
+//! are **zero-copy**: binary releases are memory-mapped straight out of
+//! the page cache and columns borrow the mapping.
 //!
 //! With `--journal` (requires `--catalog`), every `add`/`swap`/`retire`
 //! appends a write-ahead record to the catalog's journal **before** the
@@ -79,6 +83,8 @@ const USAGE: &str = "usage: privtree-serve [--grids] [--listen ADDR] [--catalog 
                      binary files (sniffed; an attached grid section is loaded instead\n\
                      of rebuilt); queries arrive over stdin, or over TCP with --listen,\n\
                      as text lines or privtree-wire frames on either;\n\
+                     --grids builds a default cell grid for every release that arrives\n\
+                     without one (shipped grids route queries either way);\n\
                      --catalog warm-starts from (and enables save/load against) an\n\
                      on-disk release catalog, quarantining damaged entries instead of\n\
                      refusing to boot; --journal (requires --catalog) makes every\n\
@@ -215,11 +221,7 @@ fn run() -> Result<(), String> {
             // in one version-1 snapshot. Lossy: damaged entries
             // quarantine instead of refusing to boot.
             let (loaded, bad) = catalog.load_all_mapped_lossy();
-            releases.extend(
-                loaded
-                    .into_iter()
-                    .map(|(key, loaded)| (key, loaded.into_handle())),
-            );
+            releases.extend(loaded);
             quarantined = bad
                 .into_iter()
                 .map(|(key, e)| (key, e.to_string()))

@@ -152,8 +152,10 @@ pub struct SwapReport {
     /// Nodes of the routing arena that was rebuilt (`shard_count + 1`
     /// for region catalogs — the only arena a mutation constructs).
     pub routing_nodes_rebuilt: usize,
-    /// Cell grids built by this mutation (0 in an ungridded store; 1 for
-    /// an add/swap in a gridded one, however many shards survive).
+    /// Cell grids built by this mutation: 1 for an add/swap in a gridded
+    /// store whose release arrives without a grid, however many shards
+    /// survive; 0 in an ungridded store, for a retire, and for a release
+    /// that ships its own grid.
     pub grids_built: usize,
     /// Total cells precomputed by this mutation's grid builds.
     pub grid_cells_built: usize,
@@ -378,16 +380,13 @@ impl ReleaseStore {
     /// behaves as in [`ReleaseStore::open_gridded`] — releases that
     /// arrive without a grid get one built. Binary releases open
     /// zero-copy: the file is memory-mapped (owned read fallback when
-    /// mapping is unavailable), columns borrow the mapping, and shipped
-    /// grids stay *staged* until first use — the warm start costs map +
-    /// validate instead of a full decode, and answers are bit-identical
+    /// mapping is unavailable) and columns borrow the mapping. Every
+    /// release is validated as it opens, shipped grid included
+    /// ([`Catalog::load_mapped`]), so a damaged release refuses the
+    /// whole open with [`EngineError::Store`]; answers are bit-identical
     /// to an owned decode.
     pub fn open_catalog(catalog: &Catalog, grids: bool) -> Result<Self, EngineError> {
-        let releases = catalog.load_all_mapped().map_err(EngineError::Store)?;
-        let handles = releases
-            .into_iter()
-            .map(|(key, loaded)| (key, loaded.into_handle()));
-        Self::build(handles, grids)
+        Self::build(catalog.load_all_mapped()?, grids)
     }
 
     /// [`ReleaseStore::open_catalog`]. The third argument selects

@@ -97,9 +97,7 @@ use privtree_spatial::serialize::release_from_text;
 use privtree_spatial::sharded::ShardHandle;
 use privtree_spatial::Rect;
 use privtree_store::catalog::looks_binary;
-use privtree_store::{
-    decode_release, encode_release, Catalog, CatalogMetrics, ReleaseFormat, StoreError,
-};
+use privtree_store::{decode_release, Catalog, CatalogMetrics, ReleaseFormat, StoreError};
 
 use crate::session::{run_jobs, Session};
 use crate::{EngineError, EngineMetrics, ReleaseStore, Snapshot, SwapReport};
@@ -645,8 +643,7 @@ fn load_verb(ctx: &ServeContext, key: &str) -> Result<SwapReport, String> {
         .lock_catalog()
         .ok_or("no catalog attached (start with --catalog DIR)")?
         .load_mapped(key)
-        .map_err(|e| e.to_string())?
-        .into_handle();
+        .map_err(|e| e.to_string())?;
     let serving = ctx.store.snapshot().keys().iter().any(|k| k == key);
     let op = if serving {
         ctx.store.swap(key, handle)
@@ -673,17 +670,20 @@ pub(crate) fn control_reply(ctx: &ServeContext, line: &str) -> String {
                         // journal-before-ack: persist the staged shard
                         // into the catalog (one generation + one
                         // write-ahead record) as the mutation's last
-                        // fallible step — the handle is re-encoded
-                        // after the snapshot build so a shipped grid
+                        // fallible step — the shard is saved after the
+                        // snapshot build so its grid, shipped or built,
                         // lands in the catalog too
                         let persist = |next: &BTreeMap<String, ShardHandle>| {
                             let shard = next.get(key).expect("the op staged this key");
-                            let bytes =
-                                encode_release(shard.arena(), shard.grid().map(|g| g.as_ref()));
                             let mut catalog =
                                 ctx.lock_catalog().expect("journaling implies a catalog");
                             catalog
-                                .import(key, &bytes, ReleaseFormat::Binary)
+                                .save(
+                                    key,
+                                    shard.arena(),
+                                    shard.grid().map(|g| g.as_ref()),
+                                    ReleaseFormat::Binary,
+                                )
                                 .map(|_| ())
                                 .map_err(EngineError::Store)
                         };

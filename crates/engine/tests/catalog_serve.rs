@@ -12,14 +12,14 @@ use std::process::{Command, Output, Stdio};
 
 use privtree_dp::budget::Epsilon;
 use privtree_dp::rng::seeded;
-use privtree_engine::ReleaseStore;
+use privtree_engine::{EngineError, ReleaseStore};
 use privtree_spatial::dataset::PointSet;
 use privtree_spatial::geom::Rect;
 use privtree_spatial::quadtree::SplitConfig;
 use privtree_spatial::query::{RangeCountSynopsis, RangeQuery};
 use privtree_spatial::serialize::{grid_routed_to_text, release_from_text};
 use privtree_spatial::{FrozenSynopsis, GridRoutedSynopsis};
-use privtree_store::{text_to_binary, Catalog, ReleaseFormat};
+use privtree_store::{text_to_binary, Catalog, ReleaseFormat, StoreError};
 use rand::RngExt;
 
 const BIN: &str = env!("CARGO_BIN_EXE_privtree-serve");
@@ -251,10 +251,26 @@ fn flip_middle_byte(path: &std::path::Path) {
     std::fs::write(path, &bytes).unwrap();
 }
 
+/// Save `key` as a small release over `region` shipping the grid of a
+/// larger release over the same region: every section CRC and the
+/// manifest checksum are valid, but the grid does not fit the arena it
+/// ships with.
+fn save_with_foreign_grid(catalog: &mut Catalog, key: &str, region: Rect) {
+    let (_, grid) = GridRoutedSynopsis::build(sample_release(region, 131, 1500))
+        .unwrap()
+        .into_parts();
+    let arena = sample_release(region, 130, 60);
+    catalog
+        .save(key, &arena, Some(&grid), ReleaseFormat::Binary)
+        .unwrap();
+}
+
 /// A degraded boot end to end: `privtree-serve --catalog` over a
-/// catalog with one corrupt and one missing release quarantines both,
-/// reports them through `stats`, and serves the clean release with its
-/// exact bits.
+/// catalog with one corrupt release, one missing release and one whose
+/// shipped grid does not fit its arena quarantines all three, reports
+/// them through `stats`, and serves the clean release with its exact
+/// bits. The library warm start and the `load` verb refuse the foreign
+/// grid too.
 #[test]
 fn catalog_boot_quarantines_damaged_releases_and_serves_the_rest() {
     let strips: Vec<(&str, FrozenSynopsis)> = ["alpha", "beta", "gamma"]
@@ -273,6 +289,24 @@ fn catalog_boot_quarantines_damaged_releases_and_serves_the_rest() {
             .save(key, arena, None, ReleaseFormat::Binary)
             .unwrap();
     }
+    // delta sits beside the strips, so it would serve if it loaded
+    save_with_foreign_grid(
+        &mut catalog,
+        "delta",
+        Rect::new(&[1.0, 0.0], &[4.0 / 3.0, 1.0]),
+    );
+    let grid_refusal = catalog.load("delta").unwrap_err();
+    assert!(
+        matches!(grid_refusal, StoreError::Grid(_)),
+        "{grid_refusal:?}"
+    );
+    for grids in [true, false] {
+        assert_eq!(
+            ReleaseStore::open_catalog(&catalog, grids).err(),
+            Some(EngineError::Store(grid_refusal.clone())),
+            "open_catalog(grids={grids}) must refuse the foreign grid"
+        );
+    }
     let file = |key: &str| dir.0.join(&catalog.entry(key).unwrap().file);
     let alpha_len = std::fs::metadata(file("alpha")).unwrap().len();
     flip_middle_byte(&file("beta"));
@@ -280,7 +314,7 @@ fn catalog_boot_quarantines_damaged_releases_and_serves_the_rest() {
     drop(catalog);
 
     let q = RangeQuery::new(Rect::new(&[0.05, 0.1], &[0.3, 0.9]));
-    let input = format!("keys\nstats\ncount {}\nquit\n", query_line(&q));
+    let input = format!("keys\nstats\ncount {}\nload delta\nquit\n", query_line(&q));
     let output = serve(&["--catalog", dir.0.to_str().unwrap()], &input);
     assert!(
         output.status.success(),
@@ -292,8 +326,9 @@ fn catalog_boot_quarantines_damaged_releases_and_serves_the_rest() {
     assert_eq!(lines.next(), Some("keys alpha"));
     let stats = lines.next().expect("stats reply");
     for pair in [
-        " quarantined=2",
+        " quarantined=3",
         " quarantined.beta=1",
+        " quarantined.delta=1",
         " quarantined.gamma=1",
     ] {
         assert!(stats.contains(pair), "missing {pair}: {stats}");
@@ -307,6 +342,8 @@ fn catalog_boot_quarantines_damaged_releases_and_serves_the_rest() {
         lines.next(),
         Some(format!("{:.17e}", strips[0].1.answer(&q)).as_str())
     );
+    // the load verb refuses the foreign grid with the store's reason
+    assert_eq!(lines.next(), Some(format!("err {grid_refusal}").as_str()));
     assert_eq!(lines.next(), None);
 }
 
@@ -413,8 +450,8 @@ fn open_catalog_reproduces_a_persisted_store_exactly() {
     for (a, b) in reference.iter().zip(&got) {
         assert_eq!(a.to_bits(), b.to_bits(), "warm-start answers diverged");
     }
-    // answering assembled any staged grids lazily — still not "built"
-    assert_eq!(warm.stats().grids_built, 0, "lazy assembly is not a build");
+    // answering builds nothing either: the grids opened with the files
+    assert_eq!(warm.stats().grids_built, 0, "answering is not a build");
 }
 
 /// Zero-copy swap safety: snapshots borrowed from a mapped store keep

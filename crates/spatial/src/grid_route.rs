@@ -1120,61 +1120,6 @@ fn fits_budget(bins: &[usize]) -> bool {
     grid_bytes(bins).is_some_and(|b| b <= MAX_GRID_BYTES)
 }
 
-/// The persisted columns of a [`CellGrid`], staged for later assembly.
-///
-/// A zero-copy release open validates the arena eagerly but defers
-/// [`CellGrid::from_parts`] — the dominant cost of a gridded decode — to
-/// the moment the grid is first needed. Until then the grid's anchors and
-/// values stay as [`Column`]s (typically borrowing the mapped file), and
-/// [`CellGridParts::assemble`] turns them into a fully validated grid.
-#[derive(Debug, Clone)]
-pub struct CellGridParts {
-    bins: Vec<usize>,
-    anchors: Column<u32>,
-    values: Column<f64>,
-}
-
-impl CellGridParts {
-    /// Stage grid columns for later assembly.
-    pub fn new(
-        bins: Vec<usize>,
-        anchors: impl Into<Column<u32>>,
-        values: impl Into<Column<f64>>,
-    ) -> Self {
-        CellGridParts {
-            bins,
-            anchors: anchors.into(),
-            values: values.into(),
-        }
-    }
-
-    /// Cells per dimension.
-    pub fn bins(&self) -> &[usize] {
-        &self.bins
-    }
-
-    /// Per-cell anchors, row-major.
-    pub fn anchors(&self) -> &[u32] {
-        &self.anchors
-    }
-
-    /// Per-cell exact traversal answers, row-major.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Run full [`CellGrid::from_parts`] validation + assembly against
-    /// `frozen`. Borrowed columns are cloned by Arc bump, not copied.
-    pub fn assemble(&self, frozen: &FrozenSynopsis) -> Result<CellGrid, GridRouteError> {
-        CellGrid::from_parts(
-            frozen,
-            &self.bins,
-            self.anchors.clone(),
-            self.values.clone(),
-        )
-    }
-}
-
 /// A frozen release plus its cell grid: the grid-routed serving engine.
 #[derive(Debug, Clone)]
 pub struct GridRoutedSynopsis {
@@ -1211,8 +1156,8 @@ impl GridRoutedSynopsis {
     /// Wrap an arena with an already-validated grid (deserialization —
     /// e.g. a [`CellGrid::from_parts`] result, or the pieces of
     /// [`GridRoutedSynopsis::into_parts`]). The pairing is trusted the
-    /// same way [`crate::sharded::ShardHandle::with_prebuilt_grid`]
-    /// trusts it: a grid built for a *different* arena answers garbage.
+    /// same way [`crate::sharded::ShardHandle::from_release`] trusts
+    /// it: a grid built for a *different* arena answers garbage.
     pub fn from_prebuilt(frozen: FrozenSynopsis, grid: CellGrid) -> Self {
         Self {
             frozen,
@@ -1247,11 +1192,6 @@ impl GridRoutedSynopsis {
     /// The routing grid.
     pub fn grid(&self) -> &CellGrid {
         &self.grid
-    }
-
-    /// Drop the grid, keeping the plain frozen engine.
-    pub fn into_frozen(self) -> FrozenSynopsis {
-        self.frozen
     }
 
     /// Take the engine apart into its arena and grid — e.g. to hand a

@@ -54,7 +54,7 @@ pub use columns::{Column, ColumnError, ColumnScalar, StableBytes};
 pub use dataset::PointSet;
 pub use frozen::{FlatLayoutError, FrozenSynopsis};
 pub use geom::Rect;
-pub use grid_route::{CellGrid, CellGridParts, GridRouteError, GridRoutedSynopsis};
+pub use grid_route::{CellGrid, GridRouteError, GridRoutedSynopsis};
 pub use index::GridIndex;
 pub use quadtree::{QuadDomain, QuadNode, SplitConfig};
 pub use query::{RangeCountSynopsis, RangeQuery};

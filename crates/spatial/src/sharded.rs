@@ -53,13 +53,13 @@
 //! reassociation error (≤ 1e-9 relative; the bit-identity pin applies to
 //! the *ungridded* configuration).
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use privtree_runtime::WorkerPool;
 
 use crate::frozen::{auto_batch, dispatch_batch, with_query_scratch, FrozenSynopsis, Overlap};
 use crate::geom::Rect;
-use crate::grid_route::{CellGrid, CellGridParts, GridRouteError, GridRoutedSynopsis};
+use crate::grid_route::{CellGrid, GridRouteError, GridRoutedSynopsis};
 use crate::query::{RangeCountSynopsis, RangeQuery};
 
 /// Sentinel in `shard_ref` for top nodes not backed by a shard.
@@ -106,24 +106,9 @@ impl std::error::Error for ShardError {}
 pub struct ShardHandle {
     arena: Arc<FrozenSynopsis>,
     grid: Option<Arc<CellGrid>>,
-    /// Grid columns shipped with a zero-copy release open, assembled
-    /// into a [`CellGrid`] at most once, on first use. Shared across
-    /// handle clones so snapshots taken before and after the first query
-    /// route through the same grid.
-    staged: Option<Arc<StagedGrid>>,
     /// Bytes of the memory mapping backing this shard's release file, or
     /// 0 when the release is process-owned.
     mapped_bytes: usize,
-}
-
-/// A staged grid: persisted columns plus the once-assembled result.
-#[derive(Debug)]
-struct StagedGrid {
-    parts: CellGridParts,
-    /// `None` inside the lock means assembly was attempted and failed
-    /// (possible only for releases that bypassed eager validation); the
-    /// shard then serves plain arena descents, which are exact.
-    assembled: OnceLock<Option<Arc<CellGrid>>>,
 }
 
 impl ShardHandle {
@@ -137,51 +122,21 @@ impl ShardHandle {
         Self {
             arena,
             grid: None,
-            staged: None,
             mapped_bytes: 0,
         }
     }
 
-    /// Wrap a loaded release — arena plus optional shipped grid — as a
-    /// handle: the one constructor every deserialization path (text,
-    /// binary, catalog) funnels through. The grid, when present, must
-    /// have been built or validated for exactly this arena (see
-    /// [`ShardHandle::with_prebuilt_grid`]).
-    pub fn from_release(arena: FrozenSynopsis, grid: Option<CellGrid>) -> Self {
-        match grid {
-            Some(grid) => Self::with_prebuilt_grid(arena, grid),
-            None => Self::new(arena),
-        }
-    }
-
-    /// Wrap a release together with a grid that was already built (or
-    /// deserialized) for exactly this arena. The pairing is trusted; a
-    /// grid built for a different arena answers garbage, so only pass
-    /// grids obtained from this release — e.g. via
+    /// Wrap a loaded release — arena plus optional grid — as a handle:
+    /// the one constructor every deserialization path (text, binary,
+    /// catalog) funnels through. The pairing is trusted: a grid built
+    /// for a different arena answers garbage, so only pass a grid built
+    /// for this arena or validated against it by
+    /// [`CellGrid::from_parts`] (every loader does) — e.g. via
     /// [`GridRoutedSynopsis::into_parts`].
-    pub fn with_prebuilt_grid(arena: FrozenSynopsis, grid: CellGrid) -> Self {
+    pub fn from_release(arena: FrozenSynopsis, grid: Option<CellGrid>) -> Self {
         Self {
             arena: Arc::new(arena),
-            grid: Some(Arc::new(grid)),
-            staged: None,
-            mapped_bytes: 0,
-        }
-    }
-
-    /// Wrap a zero-copy release open: the arena (already validated) plus
-    /// optionally the persisted grid columns, whose
-    /// [`CellGrid::from_parts`] assembly is deferred until the grid is
-    /// first used (see [`ShardHandle::grid`]).
-    pub fn from_staged(arena: FrozenSynopsis, staged: Option<CellGridParts>) -> Self {
-        Self {
-            arena: Arc::new(arena),
-            grid: None,
-            staged: staged.map(|parts| {
-                Arc::new(StagedGrid {
-                    parts,
-                    assembled: OnceLock::new(),
-                })
-            }),
+            grid: grid.map(Arc::new),
             mapped_bytes: 0,
         }
     }
@@ -194,26 +149,17 @@ impl ShardHandle {
     }
 
     /// Build this shard's [`CellGrid`] at the default resolution (on
-    /// `pool` when given) unless one is already attached or staged. A
-    /// staged grid shipped with the release stays staged — it assembles
-    /// on first use (see [`ShardHandle::grid`]), which is what keeps a
-    /// zero-copy catalog warm start O(map + validate) — and counts as
-    /// *not built*, exactly like a grid decoded eagerly. Returns whether
-    /// a grid was built — the lifecycle layer's instrumentation counts
+    /// `pool` when given) unless one is already attached — a grid the
+    /// release shipped with counts as *not built*. Returns whether a
+    /// grid was built — the lifecycle layer's instrumentation counts
     /// these to prove a swap rebuilt only the touched shard.
     pub fn ensure_grid(&mut self, pool: Option<&WorkerPool>) -> Result<bool, GridRouteError> {
-        if self.grid.is_some() || self.staged.is_some() {
+        if self.grid.is_some() {
             return Ok(false);
         }
         let bins = GridRoutedSynopsis::default_bins(&self.arena);
         self.grid = Some(Arc::new(CellGrid::build(&self.arena, &bins, pool)?));
         Ok(true)
-    }
-
-    /// Detach the grid, keeping the plain arena.
-    pub fn drop_grid(&mut self) {
-        self.grid = None;
-        self.staged = None;
     }
 
     /// The shard's frozen arena.
@@ -226,21 +172,9 @@ impl ShardHandle {
         &self.arena
     }
 
-    /// The shard's routing grid, when attached or staged.
-    ///
-    /// A staged grid (zero-copy open) is assembled here on first call —
-    /// every later call, on this handle or any clone, returns the same
-    /// `Arc`. If assembly fails the shard answers through plain arena
-    /// descents (exact, just slower), mirroring an ungridded release.
+    /// The shard's routing grid, when one is attached.
     pub fn grid(&self) -> Option<&Arc<CellGrid>> {
-        if let Some(grid) = self.grid.as_ref() {
-            return Some(grid);
-        }
-        let staged = self.staged.as_ref()?;
-        staged
-            .assembled
-            .get_or_init(|| staged.parts.assemble(&self.arena).ok().map(Arc::new))
-            .as_ref()
+        self.grid.as_ref()
     }
 
     /// Bytes of the memory mapping backing this shard's release file
@@ -452,21 +386,12 @@ impl ShardedSynopsis {
     /// Attach a grid-routed accelerator to every shard arena that does
     /// not already carry one (default per-shard resolution, precomputed
     /// on the shared pool). Fails with [`GridRouteError`] when a shard
-    /// cannot be grid-routed — e.g. inconsistent counts — leaving the
-    /// synopsis unchanged is impossible at that point, so callers keep
-    /// the plain configuration by simply not calling this.
-    pub fn with_shard_grids(self) -> Result<Self, GridRouteError> {
-        self.with_shard_grids_and_pool(Some(privtree_runtime::global()))
-    }
-
-    /// [`ShardedSynopsis::with_shard_grids`] pinned to an explicit pool
-    /// (`None` precomputes on the calling thread).
-    pub fn with_shard_grids_and_pool(
-        mut self,
-        pool: Option<&WorkerPool>,
-    ) -> Result<Self, GridRouteError> {
+    /// cannot be grid-routed — e.g. inconsistent counts. The synopsis
+    /// is consumed either way, so a caller that may need the plain
+    /// configuration afterwards keeps a clone.
+    pub fn with_shard_grids(mut self) -> Result<Self, GridRouteError> {
         for handle in &mut self.shards {
-            handle.ensure_grid(pool)?;
+            handle.ensure_grid(Some(privtree_runtime::global()))?;
         }
         Ok(self)
     }

@@ -91,7 +91,6 @@ use privtree_spatial::FrozenSynopsis;
 
 use std::sync::Arc;
 
-use privtree_spatial::grid_route::CellGridParts;
 use privtree_spatial::sharded::ShardHandle;
 use privtree_spatial::StableBytes;
 
@@ -189,48 +188,6 @@ pub struct CatalogEntry {
     /// Monotone per-key generation number (1 for a key's first
     /// publish; bumped by every replacing publish).
     pub generation: u64,
-}
-
-/// A release opened by [`Catalog::load_mapped`]: the validated arena
-/// (columns borrowing the mapping when storage is zero-copy) plus the
-/// grid in whichever form the load produced — eager for copying paths,
-/// staged for zero-copy opens. Convert to a serving handle with
-/// [`LoadedRelease::into_handle`].
-#[derive(Debug)]
-pub struct LoadedRelease {
-    /// The validated frozen arena.
-    pub arena: FrozenSynopsis,
-    /// An eagerly assembled grid (text loads and copy fallbacks).
-    pub grid: Option<CellGrid>,
-    /// Persisted grid columns awaiting first-use assembly (zero-copy
-    /// opens). At most one of `grid` / `staged_grid` is `Some`.
-    pub staged_grid: Option<CellGridParts>,
-    /// Bytes held by a memory mapping backing the columns (0 when the
-    /// storage is owned).
-    pub mapped_bytes: usize,
-}
-
-impl LoadedRelease {
-    /// Whether the release's columns borrow a memory mapping.
-    pub fn is_mapped(&self) -> bool {
-        self.mapped_bytes > 0
-    }
-
-    /// Convert into a serving [`ShardHandle`], preserving the storage
-    /// mode and the staged-vs-eager grid state.
-    pub fn into_handle(self) -> ShardHandle {
-        let handle = match self.grid {
-            Some(grid) => ShardHandle::with_prebuilt_grid(self.arena, grid),
-            None => ShardHandle::from_staged(self.arena, self.staged_grid),
-        };
-        handle.with_mapped_bytes(self.mapped_bytes)
-    }
-}
-
-impl From<LoadedRelease> for ShardHandle {
-    fn from(release: LoadedRelease) -> Self {
-        release.into_handle()
-    }
 }
 
 /// What [`Catalog::open`] cleaned up while recovering the directory
@@ -968,15 +925,15 @@ impl Catalog {
             .collect()
     }
 
-    /// Load the release stored under `key` with zero-copy storage when
-    /// possible: binary releases are memory-mapped (falling back to an
-    /// owned read when mapping fails), the
-    /// whole-file checksum is verified against the manifest, and the
-    /// columns borrow the mapping in place. The grid, when shipped, is
-    /// *staged* rather than assembled, so opening is O(map + validate);
-    /// `ShardHandle` assembles it on first use. Text releases fall back
-    /// to the copying [`Catalog::load`] path.
-    pub fn load_mapped(&self, key: &str) -> Result<LoadedRelease, StoreError> {
+    /// Load the release stored under `key` as a serving handle, with
+    /// zero-copy storage when possible: binary releases are
+    /// memory-mapped (falling back to an owned read when mapping fails),
+    /// the whole-file checksum is verified against the manifest, and the
+    /// columns borrow the mapping in place. Validation is
+    /// [`Catalog::load`]'s, shipped grid included, so both refuse a
+    /// damaged release with the same typed error. Text releases fall
+    /// back to the copying [`Catalog::load`] path.
+    pub fn load_mapped(&self, key: &str) -> Result<ShardHandle, StoreError> {
         let entry = self
             .entries
             .get(key)
@@ -985,12 +942,7 @@ impl Catalog {
             })?;
         if entry.format == ReleaseFormat::Text {
             let (arena, grid) = self.load(key)?;
-            return Ok(LoadedRelease {
-                arena,
-                grid,
-                staged_grid: None,
-                mapped_bytes: 0,
-            });
+            return Ok(ShardHandle::from_release(arena, grid));
         }
         let path = self.dir.join(&entry.file);
         let owner = ReleaseBytes::map(&path)?;
@@ -1006,18 +958,13 @@ impl Catalog {
         let owner: Arc<dyn StableBytes> = Arc::new(owner);
         // the whole-file CRC above already covers every section byte, so
         // the open skips the per-section CRC pass
-        let view = open_release_view(&owner, false)?;
-        Ok(LoadedRelease {
-            arena: view.arena,
-            grid: None,
-            staged_grid: view.grid,
-            mapped_bytes,
-        })
+        let (arena, grid) = open_release_view(&owner, false)?;
+        Ok(ShardHandle::from_release(arena, grid).with_mapped_bytes(mapped_bytes))
     }
 
     /// [`Catalog::load_mapped`] for every release, in sorted key order —
     /// the zero-copy warm-start path.
-    pub fn load_all_mapped(&self) -> Result<Vec<(String, LoadedRelease)>, StoreError> {
+    pub fn load_all_mapped(&self) -> Result<Vec<(String, ShardHandle)>, StoreError> {
         self.entries
             .keys()
             .map(|key| Ok((key.clone(), self.load_mapped(key)?)))
@@ -1025,14 +972,13 @@ impl Catalog {
     }
 
     /// [`Catalog::load_all_mapped`], degraded: releases whose file is
-    /// missing, torn, or corrupt are **quarantined** (returned with their
-    /// typed per-key error) instead of failing the whole load, so one bad
+    /// missing, torn, or corrupt — or whose shipped grid does not fit
+    /// its arena — are **quarantined** (returned with their typed
+    /// per-key error) instead of failing the whole load, so one bad
     /// release costs capacity, not availability. Surviving releases
     /// load bit-identically to the strict path, in sorted key order.
     #[allow(clippy::type_complexity)]
-    pub fn load_all_mapped_lossy(
-        &self,
-    ) -> (Vec<(String, LoadedRelease)>, Vec<(String, StoreError)>) {
+    pub fn load_all_mapped_lossy(&self) -> (Vec<(String, ShardHandle)>, Vec<(String, StoreError)>) {
         let mut loaded = Vec::new();
         let mut quarantined = Vec::new();
         for key in self.entries.keys() {

@@ -48,7 +48,7 @@
 //! arrays, same bits — which `tests/roundtrip.rs` property-tests.
 
 use privtree_spatial::grid_route::CellGrid;
-use privtree_spatial::{FrozenSynopsis, MAX_DIMS};
+use privtree_spatial::{Column, FrozenSynopsis, MAX_DIMS};
 
 use crate::StoreError;
 
@@ -79,14 +79,14 @@ pub(crate) fn pad_before(pos: u64) -> u64 {
 }
 
 /// Section tags and display names, in file order.
-pub(crate) const SEC_LO: ([u8; 4], &str) = (*b"NLOC", "node-lo");
-pub(crate) const SEC_HI: ([u8; 4], &str) = (*b"NHIC", "node-hi");
-pub(crate) const SEC_FIRST: ([u8; 4], &str) = (*b"NFCH", "first-child");
-pub(crate) const SEC_KIDS: ([u8; 4], &str) = (*b"NCCT", "child-count");
-pub(crate) const SEC_COUNTS: ([u8; 4], &str) = (*b"NCNT", "counts");
-pub(crate) const SEC_GBINS: ([u8; 4], &str) = (*b"GBIN", "grid-bins");
-pub(crate) const SEC_GANCHORS: ([u8; 4], &str) = (*b"GANC", "grid-anchors");
-pub(crate) const SEC_GVALUES: ([u8; 4], &str) = (*b"GVAL", "grid-values");
+const SEC_LO: ([u8; 4], &str) = (*b"NLOC", "node-lo");
+const SEC_HI: ([u8; 4], &str) = (*b"NHIC", "node-hi");
+const SEC_FIRST: ([u8; 4], &str) = (*b"NFCH", "first-child");
+const SEC_KIDS: ([u8; 4], &str) = (*b"NCCT", "child-count");
+const SEC_COUNTS: ([u8; 4], &str) = (*b"NCNT", "counts");
+const SEC_GBINS: ([u8; 4], &str) = (*b"GBIN", "grid-bins");
+const SEC_GANCHORS: ([u8; 4], &str) = (*b"GANC", "grid-anchors");
+const SEC_GVALUES: ([u8; 4], &str) = (*b"GVAL", "grid-values");
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`)
 /// slicing-by-8 lookup tables, built at compile time. `TABLES[0]` is
@@ -407,7 +407,7 @@ fn encode_release_with(arena: &FrozenSynopsis, grid: Option<&CellGrid>, aligned:
 }
 
 /// A cursor over the section stream after the header.
-pub(crate) struct Reader<'a> {
+struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
     /// Whether the aligned-layout flag was set: section frames are then
@@ -419,7 +419,7 @@ pub(crate) struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(bytes: &'a [u8], aligned: bool, verify: bool) -> Self {
+    fn new(bytes: &'a [u8], aligned: bool, verify: bool) -> Self {
         Reader {
             bytes,
             pos: HEADER_LEN,
@@ -430,7 +430,7 @@ impl<'a> Reader<'a> {
 
     /// Slice the next section, which must carry `tag` and exactly
     /// `expected` payload bytes, and verify its CRC.
-    pub(crate) fn section(
+    fn section(
         &mut self,
         (tag, name): ([u8; 4], &'static str),
         expected: u64,
@@ -510,19 +510,19 @@ pub(crate) fn u32_vec(payload: &[u8]) -> Vec<u32> {
 }
 
 /// A fully validated `privtree-bin` header.
-pub(crate) struct Header {
-    pub(crate) dims: u32,
-    pub(crate) nodes: u64,
+struct Header {
+    dims: u32,
+    nodes: u64,
     /// Grid cell count; 0 iff `grid` is false.
-    pub(crate) cells: u64,
-    pub(crate) grid: bool,
-    pub(crate) aligned: bool,
+    cells: u64,
+    grid: bool,
+    aligned: bool,
 }
 
 /// Validate the header and the header-implied whole-file size. Every
 /// decode path — copying and zero-copy alike — goes through this before
 /// sizing a single buffer.
-pub(crate) fn parse_header(bytes: &[u8]) -> Result<Header, StoreError> {
+fn parse_header(bytes: &[u8]) -> Result<Header, StoreError> {
     if bytes.len() < HEADER_LEN {
         return Err(StoreError::SizeMismatch {
             expected: HEADER_LEN as u64,
@@ -604,7 +604,7 @@ pub(crate) fn parse_header(bytes: &[u8]) -> Result<Header, StoreError> {
 
 /// Validate the grid-bins payload against the header cell count and
 /// return the bin counts.
-pub(crate) fn decode_bins(payload: &[u8], cells: u64) -> Result<Vec<usize>, StoreError> {
+fn decode_bins(payload: &[u8], cells: u64) -> Result<Vec<usize>, StoreError> {
     let bins: Vec<usize> = u32_vec(payload).into_iter().map(|b| b as usize).collect();
     let product: Option<u64> = bins
         .iter()
@@ -628,16 +628,31 @@ pub(crate) fn decode_bins(payload: &[u8], cells: u64) -> Result<Vec<usize>, Stor
 /// This is the copying decoder: every column is materialized as an
 /// owned `Vec`. The zero-copy counterpart lives in [`crate::view`].
 pub fn decode_release(bytes: &[u8]) -> Result<(FrozenSynopsis, Option<CellGrid>), StoreError> {
+    decode_with(bytes, true, |p| f64_vec(p).into(), |p| u32_vec(p).into())
+}
+
+/// The one decoder behind [`decode_release`] and
+/// [`crate::open_release_view`]: validate the header, walk the sections
+/// (checking their CRCs when `verify_sections`), and validate the arena
+/// and then the grid, turning each payload into a column through `f64s`
+/// or `u32s` — owned copies or borrowed views. Both paths therefore
+/// refuse every input with the same typed error.
+pub(crate) fn decode_with(
+    bytes: &[u8],
+    verify_sections: bool,
+    f64s: impl Fn(&[u8]) -> Column<f64>,
+    u32s: impl Fn(&[u8]) -> Column<u32>,
+) -> Result<(FrozenSynopsis, Option<CellGrid>), StoreError> {
     let header = parse_header(bytes)?;
     let (dims, nodes, cells) = (header.dims, header.nodes, header.cells);
 
-    let mut reader = Reader::new(bytes, header.aligned, true);
+    let mut reader = Reader::new(bytes, header.aligned, verify_sections);
     let coords = nodes * dims as u64 * 8;
-    let lo = f64_vec(reader.section(SEC_LO, coords)?);
-    let hi = f64_vec(reader.section(SEC_HI, coords)?);
-    let first_child = u32_vec(reader.section(SEC_FIRST, nodes * 4)?);
-    let child_count = u32_vec(reader.section(SEC_KIDS, nodes * 4)?);
-    let counts = f64_vec(reader.section(SEC_COUNTS, nodes * 8)?);
+    let lo = f64s(reader.section(SEC_LO, coords)?);
+    let hi = f64s(reader.section(SEC_HI, coords)?);
+    let first_child = u32s(reader.section(SEC_FIRST, nodes * 4)?);
+    let child_count = u32s(reader.section(SEC_KIDS, nodes * 4)?);
+    let counts = f64s(reader.section(SEC_COUNTS, nodes * 8)?);
     // the label matches what the text loader produces, so a binary load
     // is indistinguishable from a text load of the same release
     let arena = FrozenSynopsis::from_flat_parts(
@@ -653,8 +668,8 @@ pub fn decode_release(bytes: &[u8]) -> Result<(FrozenSynopsis, Option<CellGrid>)
         return Ok((arena, None));
     }
     let bins = decode_bins(reader.section(SEC_GBINS, 4 * dims as u64)?, cells)?;
-    let anchors = u32_vec(reader.section(SEC_GANCHORS, cells * 4)?);
-    let values = f64_vec(reader.section(SEC_GVALUES, cells * 8)?);
+    let anchors = u32s(reader.section(SEC_GANCHORS, cells * 4)?);
+    let values = f64s(reader.section(SEC_GVALUES, cells * 8)?);
     let grid = CellGrid::from_parts(&arena, &bins, anchors, values)?;
     Ok((arena, Some(grid)))
 }

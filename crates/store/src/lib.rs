@@ -16,10 +16,10 @@
 //!   anchors and contributions. The grid's derived tables — the
 //!   summed-area table, the boundary shell's face tables and its run
 //!   index — are never stored: they are rebuilt deterministically from
-//!   `grid-anchors`, `grid-values` and the arena on load (on a staged
-//!   grid's first use), exactly like the text path, so a file cannot
-//!   supply table values, and a resolution whose tables would exceed the
-//!   grid allocation bound is refused before anything is allocated.
+//!   `grid-anchors`, `grid-values` and the arena on load, exactly like
+//!   the text path, so a file cannot supply table values, and a
+//!   resolution whose tables would exceed the grid allocation bound is
+//!   refused before anything is allocated.
 //!   Decoding is one validated pass over the bytes — no per-line
 //!   parsing, no intermediate strings. `crates/store/README.md`
 //!   specifies the layout byte by byte.
@@ -44,12 +44,13 @@
 //!   folds the state back into the manifest and rotates the segment.
 //! * [`view`] — **zero-copy loading**: [`ReleaseBytes`] memory-maps a
 //!   release file (read-only, falling back to an owned read when
-//!   mapping fails) and [`open_release_view`] validates the header and
-//!   sections against the mapping, handing back a `FrozenSynopsis`
-//!   whose columns borrow the mapped bytes directly — the page cache
-//!   *is* the serving arena. Misaligned or legacy-unpadded sections fall back to
-//!   copying that column, never to an error, and the shipped grid is
-//!   returned staged so warm start pays only map + validate.
+//!   mapping fails) and [`open_release_view`] runs the copying
+//!   decoder's validation against the mapping, handing back a
+//!   `FrozenSynopsis` whose columns borrow the mapped bytes directly —
+//!   the page cache *is* the serving arena — plus the shipped grid,
+//!   assembled over borrowed anchors and values. Misaligned or
+//!   legacy-unpadded sections fall back to copying that column, never
+//!   to an error.
 //! * [`text_to_binary`] / [`binary_to_text`] — lossless conversion
 //!   between the two formats. The binary loader reproduces the text
 //!   loader's output *exactly* (same arrays, same bits), so a release
@@ -67,15 +68,13 @@ pub mod frame;
 pub mod journal;
 pub mod view;
 
-pub use catalog::{
-    Catalog, CatalogEntry, CatalogMetrics, LoadedRelease, RecoverySweep, ReleaseFormat,
-};
+pub use catalog::{Catalog, CatalogEntry, CatalogMetrics, RecoverySweep, ReleaseFormat};
 pub use format::{
     decode_release, encode_release, encode_release_unaligned, encoded_len, HEADER_LEN, MAGIC,
     VERSION,
 };
 pub use journal::{FsyncPolicy, Journal, JournalMetrics, JournalOp, JournalRecord};
-pub use view::{decode_release_view, open_release_view, ReleaseBytes, ReleaseView};
+pub use view::{open_release_view, ReleaseBytes};
 
 use privtree_spatial::frozen::FlatLayoutError;
 use privtree_spatial::grid_route::GridRouteError;

@@ -10,38 +10,34 @@
 //! and hands the spatial layer [`Column`]s that *borrow* the payloads in
 //! place:
 //!
-//! * the header and whole-file size are validated exactly as in the
-//!   copying path;
-//! * each section is framed/walked identically, with per-section CRC
-//!   verification on by default ([`open_release_view`]'s `verify`
-//!   parameter lets catalog opens that already verified the whole-file
-//!   checksum skip the second pass);
+//! * the view and the copying decoder are one decoder (`decode_with` in
+//!   `format.rs`) that differs only in how a payload becomes a column,
+//!   so the header and whole-file size, section framing and CRCs, arena
+//!   layout ([`FrozenSynopsis::from_flat_parts`]) and grid fit
+//!   ([`CellGrid::from_parts`], which rebuilds the grid's derived tables
+//!   from its borrowed anchors and values) are checked in the same
+//!   order, and a hostile file is refused with the same typed
+//!   [`StoreError`]. [`open_release_view`]'s `verify_sections` lets a
+//!   catalog open that already verified the whole-file checksum skip
+//!   the per-section CRC pass;
 //! * each column borrows the payload when the host is little-endian and
 //!   the payload is suitably aligned (guaranteed by the aligned file
 //!   layout for mapped files), and silently falls back to the owned
 //!   copy otherwise — legacy unpadded files therefore decode fine, just
-//!   without the zero-copy win;
-//! * arena validation (`FrozenSynopsis::from_flat_parts`) runs eagerly,
-//!   but the grid's [`CellGrid::from_parts`] — the dominant cost of a
-//!   gridded decode — is *staged* as [`CellGridParts`] and assembled on
-//!   first use (see `ShardHandle::from_staged`), which is what makes a
-//!   catalog warm start O(map + validate) instead of O(decode).
+//!   without the zero-copy win.
 //!
 //! Answers served from a view are bit-identical to the owned decode of
-//! the same bytes: the columns hold the same values, and the staged grid
-//! assembles through the same `from_parts` entry point
+//! the same bytes: the columns hold the same values, and the grid is
+//! assembled through the same `from_parts` entry point
 //! (property-tested in `tests/zero_copy.rs`).
 
 use std::path::Path;
 use std::sync::Arc;
 
-use privtree_spatial::grid_route::{CellGrid, CellGridParts};
+use privtree_spatial::grid_route::CellGrid;
 use privtree_spatial::{Column, ColumnScalar, FrozenSynopsis, StableBytes};
 
-use crate::format::{
-    decode_bins, f64_vec, parse_header, u32_vec, Reader, SEC_COUNTS, SEC_FIRST, SEC_GANCHORS,
-    SEC_GBINS, SEC_GVALUES, SEC_HI, SEC_KIDS, SEC_LO,
-};
+use crate::format::{decode_with, f64_vec, u32_vec};
 use crate::StoreError;
 
 /// The backing bytes of one release file, kept alive for as long as any
@@ -104,17 +100,6 @@ unsafe impl StableBytes for ReleaseBytes {
     }
 }
 
-/// A zero-copy open: the validated arena plus, for gridded releases,
-/// the staged grid columns awaiting first-use assembly.
-#[derive(Debug, Clone)]
-pub struct ReleaseView {
-    /// The validated frozen arena, columns borrowing the owner where
-    /// possible.
-    pub arena: FrozenSynopsis,
-    /// The persisted grid columns, when the release ships a grid.
-    pub grid: Option<CellGridParts>,
-}
-
 /// Borrow `payload` (a subslice of `owner`'s bytes) as a typed column,
 /// or `None` when borrowing is impossible (big-endian host, misaligned
 /// payload).
@@ -149,59 +134,22 @@ fn u32_column(owner: &Arc<dyn StableBytes>, payload: &[u8]) -> Column<u32> {
     borrow_column(owner, payload).unwrap_or_else(|| u32_vec(payload).into())
 }
 
-/// Open a release over stable bytes with zero-copy columns: validate
-/// the header + whole-file size, walk the sections, verify their CRCs
-/// (unless `verify_sections` is false — only pass `false` when the
-/// whole-file checksum has already been verified against a trusted
-/// manifest, as [`crate::Catalog::load_mapped`] does), run full arena
-/// validation, and stage the grid columns for first-use assembly.
+/// Open a release over stable bytes with zero-copy columns: the
+/// counterpart of [`crate::decode_release`], with the same validation
+/// (header and whole-file size, section framing, section CRCs, arena
+/// layout, grid assembly) and the same typed errors on every hostile
+/// input — but the surviving columns borrow `owner`'s bytes instead of
+/// copying them. Pass `verify_sections = false` only when the whole-file
+/// checksum has already been verified against a trusted manifest, as
+/// [`crate::Catalog::load_mapped`] does.
 pub fn open_release_view(
     owner: &Arc<dyn StableBytes>,
     verify_sections: bool,
-) -> Result<ReleaseView, StoreError> {
-    let bytes = owner.stable_bytes();
-    let header = parse_header(bytes)?;
-    let (dims, nodes, cells) = (header.dims, header.nodes, header.cells);
-
-    let mut reader = Reader::new(bytes, header.aligned, verify_sections);
-    let coords = nodes * dims as u64 * 8;
-    let lo = f64_column(owner, reader.section(SEC_LO, coords)?);
-    let hi = f64_column(owner, reader.section(SEC_HI, coords)?);
-    let first_child = u32_column(owner, reader.section(SEC_FIRST, nodes * 4)?);
-    let child_count = u32_column(owner, reader.section(SEC_KIDS, nodes * 4)?);
-    let counts = f64_column(owner, reader.section(SEC_COUNTS, nodes * 8)?);
-    let arena = FrozenSynopsis::from_flat_parts(
-        dims as usize,
-        lo,
-        hi,
-        first_child,
-        child_count,
-        counts,
-        "imported",
-    )?;
-    if !header.grid {
-        return Ok(ReleaseView { arena, grid: None });
-    }
-    let bins = decode_bins(reader.section(SEC_GBINS, 4 * dims as u64)?, cells)?;
-    let anchors = u32_column(owner, reader.section(SEC_GANCHORS, cells * 4)?);
-    let values = f64_column(owner, reader.section(SEC_GVALUES, cells * 8)?);
-    Ok(ReleaseView {
-        arena,
-        grid: Some(CellGridParts::new(bins, anchors, values)),
-    })
-}
-
-/// The zero-copy counterpart of [`crate::decode_release`]: same full
-/// validation (header, framing, section CRCs, arena layout, grid
-/// assembly), same typed errors on every hostile input — but the
-/// surviving columns borrow `owner`'s bytes instead of copying them.
-pub fn decode_release_view(
-    owner: &Arc<dyn StableBytes>,
 ) -> Result<(FrozenSynopsis, Option<CellGrid>), StoreError> {
-    let view = open_release_view(owner, true)?;
-    let grid = match &view.grid {
-        Some(parts) => Some(parts.assemble(&view.arena)?),
-        None => None,
-    };
-    Ok((view.arena, grid))
+    decode_with(
+        owner.stable_bytes(),
+        verify_sections,
+        |p| f64_column(owner, p),
+        |p| u32_column(owner, p),
+    )
 }

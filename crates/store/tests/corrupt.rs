@@ -4,7 +4,7 @@
 //! table-driven: each case mutates a valid file and names the exact
 //! error variant the decoder must refuse with, and every case runs
 //! through **both** decoders — the copying [`decode_release`] and the
-//! zero-copy [`decode_release_view`] — which must refuse identically
+//! zero-copy [`open_release_view`] — which must refuse identically
 //! (the zero-copy path may hand out borrowed slices of the hostile
 //! bytes, so it gets no validation discount).
 
@@ -18,7 +18,7 @@ use privtree_spatial::grid_route::GridRoutedSynopsis;
 use privtree_spatial::quadtree::SplitConfig;
 use privtree_spatial::{FrozenSynopsis, StableBytes};
 use privtree_store::{
-    decode_release, decode_release_view, encode_release, ReleaseBytes, StoreError, HEADER_LEN,
+    decode_release, encode_release, open_release_view, ReleaseBytes, StoreError, HEADER_LEN,
 };
 use rand::RngExt;
 
@@ -124,7 +124,7 @@ fn flipped(mut bytes: Vec<u8>, at: usize) -> Vec<u8> {
 /// Decode `bytes` through the zero-copy view path.
 fn decode_view(bytes: &[u8]) -> Result<(), StoreError> {
     let owner: Arc<dyn StableBytes> = Arc::new(ReleaseBytes::from_vec(bytes.to_vec()));
-    decode_release_view(&owner).map(|_| ())
+    open_release_view(&owner, true).map(|_| ())
 }
 
 /// One corruption case: a label, the mutated bytes, and the acceptance

@@ -308,7 +308,7 @@ fn mapped_readers_survive_publishes_crashed_at_every_step() {
         // mid-crash, before any recovery: the mapped view still reads
         // the generation it opened, bit-exact
         assert_eq!(
-            bits(&reader.arena),
+            bits(reader.arena()),
             old_beta,
             "step {step}: reader torn by the crashed writer"
         );
@@ -339,7 +339,7 @@ fn mapped_readers_survive_publishes_crashed_at_every_step() {
             "step {step}: GC unlinked a live generation under a mapped reader"
         );
         // and it still reads clean after the sweep
-        assert_eq!(bits(&reader.arena), old_beta, "step {step}: reader torn");
+        assert_eq!(bits(reader.arena()), old_beta, "step {step}: reader torn");
     }
 }
 
@@ -361,7 +361,7 @@ proptest! {
         let dir = TempDir::new("prop");
         let mut catalog = seeded_catalog(&dir.0);
         let reader = catalog.load_mapped("beta").unwrap();
-        let reader_bits = bits(&reader.arena);
+        let reader_bits = bits(reader.arena());
         failpoints::reset();
         let action = if crash == 1 { FailAction::Crash } else { FailAction::Error };
         failpoints::arm_global(step, action);
@@ -391,6 +391,6 @@ proptest! {
         failpoints::reset();
         assert_recovered(&dir.0);
         // the interleaved mapped reader must never observe torn bytes
-        prop_assert_eq!(bits(&reader.arena), reader_bits);
+        prop_assert_eq!(bits(reader.arena()), reader_bits);
     }
 }

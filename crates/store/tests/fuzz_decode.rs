@@ -2,7 +2,7 @@
 //! mutations — flips, truncations, extensions — of a **valid** release
 //! file must come back from both the owned decoder
 //! ([`decode_release`]) and the zero-copy view
-//! ([`decode_release_view`]) as a typed [`StoreError`], never a panic,
+//! ([`open_release_view`]) as a typed [`StoreError`], never a panic,
 //! and never an allocation sized by attacker-controlled counts that
 //! the payload cannot back. Hostile headers advertising billions of
 //! nodes are rejected by arithmetic against the actual byte length
@@ -17,7 +17,7 @@ use privtree_spatial::geom::Rect;
 use privtree_spatial::grid_route::CellGrid;
 use privtree_spatial::quadtree::SplitConfig;
 use privtree_spatial::{FrozenSynopsis, StableBytes};
-use privtree_store::{decode_release, decode_release_view, encode_release, ReleaseBytes};
+use privtree_store::{decode_release, encode_release, open_release_view, ReleaseBytes};
 use proptest::prelude::*;
 use rand::RngExt;
 
@@ -64,7 +64,7 @@ fn both_paths_fail_typed(bytes: &[u8]) {
         let _ = e.to_string();
     }
     let owner: Arc<dyn StableBytes> = Arc::new(ReleaseBytes::from_vec(bytes.to_vec()));
-    if let Err(e) = decode_release_view(&owner) {
+    if let Err(e) = open_release_view(&owner, true) {
         let _ = e.to_string();
     }
 }
@@ -137,7 +137,7 @@ fn absurd_counts_are_rejected_before_allocation() {
             );
             let owner: Arc<dyn StableBytes> = Arc::new(ReleaseBytes::from_vec(mutant));
             assert!(
-                decode_release_view(&owner).is_err(),
+                open_release_view(&owner, true).is_err(),
                 "corpus {which}: view must reject absurd count at {slot}"
             );
         }

@@ -9,6 +9,7 @@ use privtree_dp::budget::Epsilon;
 use privtree_dp::rng::seeded;
 use privtree_spatial::dataset::PointSet;
 use privtree_spatial::geom::Rect;
+use privtree_spatial::grid_route::GridRoutedSynopsis;
 use privtree_spatial::quadtree::SplitConfig;
 use privtree_spatial::FrozenSynopsis;
 use privtree_store::{Catalog, FsyncPolicy, ReleaseFormat, StoreError};
@@ -53,8 +54,27 @@ fn bits(counts: &[f64]) -> Vec<u64> {
     counts.iter().map(|c| c.to_bits()).collect()
 }
 
-/// One corrupt entry quarantines that key — strict loads fail whole,
-/// lossy loads serve everything else with the exact same bits.
+/// Save `key` as a small release shipping the grid of a larger one:
+/// every section CRC and the manifest checksum are valid, but the grid
+/// does not fit the arena it ships with.
+fn save_with_foreign_grid(catalog: &mut Catalog, key: &str) {
+    let (_, grid) = GridRoutedSynopsis::build(sample_release(55, 2_000))
+        .unwrap()
+        .into_parts();
+    catalog
+        .save(
+            key,
+            &sample_release(44, 60),
+            Some(&grid),
+            ReleaseFormat::Binary,
+        )
+        .unwrap();
+}
+
+/// Each damaged entry quarantines its key — strict loads fail whole,
+/// lossy loads serve everything else with the exact same bits. A grid
+/// that does not fit its arena is damage too: the mapped open refuses
+/// it exactly as the copying load does.
 #[test]
 fn lossy_load_quarantines_damaged_entries_and_serves_the_rest() {
     let dir = TempDir::new("lossy");
@@ -71,6 +91,7 @@ fn lossy_load_quarantines_damaged_entries_and_serves_the_rest() {
         .into_iter()
         .map(|(k, arena, _)| (k, bits(arena.counts())))
         .collect();
+    save_with_foreign_grid(&mut catalog, "delta");
 
     // flip one payload byte in beta's file (length unchanged, so only
     // the checksum can catch it) and delete gamma's file outright
@@ -89,6 +110,16 @@ fn lossy_load_quarantines_damaged_entries_and_serves_the_rest() {
     assert!(catalog.recovery_sweep().is_clean());
     assert!(catalog.load_all().is_err(), "strict load must fail whole");
     assert!(catalog.load_all_mapped().is_err());
+    let grid_refusal = catalog.load("delta").unwrap_err();
+    assert!(
+        matches!(grid_refusal, StoreError::Grid(_)),
+        "a foreign grid is a grid refusal: {grid_refusal:?}"
+    );
+    assert_eq!(
+        catalog.load_mapped("delta").unwrap_err(),
+        grid_refusal,
+        "the mapped open refuses the foreign grid like the copying load"
+    );
 
     let (loaded, quarantined) = catalog.load_all_mapped_lossy();
     assert_eq!(
@@ -98,11 +129,11 @@ fn lossy_load_quarantines_damaged_entries_and_serves_the_rest() {
     );
     // the zero-copy survivor carries the owned strict load's exact bits
     assert_eq!(
-        bits(loaded[0].1.arena.counts()),
+        bits(loaded[0].1.arena().counts()),
         clean[0].1,
         "bit-identical"
     );
-    assert_eq!(quarantined.len(), 2);
+    assert_eq!(quarantined.len(), 3);
     let reason = |key: &str| {
         quarantined
             .iter()
@@ -120,6 +151,7 @@ fn lossy_load_quarantines_damaged_entries_and_serves_the_rest() {
         "missing file is an IO quarantine: {:?}",
         reason("gamma")
     );
+    assert_eq!(reason("delta"), grid_refusal, "foreign grid quarantined");
 }
 
 /// `Catalog::open` removes a dead writer's residue — `.tmp` siblings

@@ -16,7 +16,7 @@ use privtree_spatial::query::{RangeCountSynopsis, RangeQuery};
 use privtree_spatial::serialize::{release_from_text, release_to_text};
 use privtree_spatial::{FrozenSynopsis, StableBytes};
 use privtree_store::{
-    decode_release, decode_release_view, encode_release, encode_release_unaligned, Catalog,
+    decode_release, encode_release, encode_release_unaligned, open_release_view, Catalog,
     ReleaseBytes, ReleaseFormat,
 };
 use proptest::prelude::*;
@@ -127,7 +127,7 @@ proptest! {
         let owner = ReleaseBytes::map(&path).unwrap();
         let mapped = owner.is_mapped();
         let owner: Arc<dyn StableBytes> = Arc::new(owner);
-        let (view_arena, view_grid) = decode_release_view(&owner).unwrap();
+        let (view_arena, view_grid) = open_release_view(&owner, true).unwrap();
         let _ = std::fs::remove_file(&path);
 
         // on a little-endian host the aligned layout guarantees the
@@ -176,7 +176,7 @@ proptest! {
 
         let (own_arena, own_grid) = decode_release(&legacy).unwrap();
         let owner: Arc<dyn StableBytes> = Arc::new(ReleaseBytes::from_vec(legacy));
-        let (view_arena, view_grid) = decode_release_view(&owner).unwrap();
+        let (view_arena, view_grid) = open_release_view(&owner, true).unwrap();
         let (ref_arena, ref_grid) = decode_release(&aligned).unwrap();
         let queries = workload(25, qseed);
         assert_release_eq(
@@ -194,9 +194,9 @@ proptest! {
     }
 }
 
-/// `Catalog::load_mapped` reports mapped storage, stages (rather than
-/// assembles) the grid, and the staged grid assembles to the exact
-/// release the copying loader produces.
+/// `Catalog::load_mapped` reports mapped storage and opens the exact
+/// release the copying `Catalog::load` produces: the same arena, the
+/// same grid (bins, anchors, values) and the same answers, bit for bit.
 #[test]
 fn catalog_load_mapped_is_exact_and_reports_storage() {
     let dir = std::env::temp_dir().join(format!("privtree-zc-cat-{}", std::process::id()));
@@ -216,15 +216,15 @@ fn catalog_load_mapped_is_exact_and_reports_storage() {
         let file_len = std::fs::metadata(dir.join(&cat.entry("gridded").unwrap().file))
             .unwrap()
             .len();
-        assert_eq!(loaded.mapped_bytes as u64, file_len);
+        assert_eq!(loaded.mapped_bytes() as u64, file_len);
     }
-    assert!(loaded.grid.is_none(), "grid must arrive staged, not built");
-    let staged = loaded.staged_grid.as_ref().expect("staged grid parts");
-    let assembled = staged.assemble(&loaded.arena).unwrap();
+    let mapped_grid = loaded
+        .grid()
+        .expect("the shipped grid opens with the release");
     let (ref_arena, ref_grid) = cat.load("gridded").unwrap();
     assert_release_eq(
         "mapped catalog vs owned catalog",
-        (&loaded.arena, Some(&assembled)),
+        (loaded.arena(), Some(mapped_grid)),
         (&ref_arena, ref_grid.as_ref()),
         &workload(25, 77),
     );
@@ -232,8 +232,8 @@ fn catalog_load_mapped_is_exact_and_reports_storage() {
     // text entries fall back to the copying loader, reported as owned
     let text_loaded = cat.load_mapped("plain").unwrap();
     assert!(!text_loaded.is_mapped());
-    assert_eq!(text_loaded.mapped_bytes, 0);
-    assert!(text_loaded.staged_grid.is_none());
+    assert_eq!(text_loaded.mapped_bytes(), 0);
+    assert!(text_loaded.grid().is_none());
 
     // load_all_mapped covers every entry in sorted order
     let all = cat.load_all_mapped().unwrap();
@@ -258,7 +258,7 @@ fn mapping_outlives_removed_catalog_entry() {
         .unwrap();
 
     let loaded = cat.load_mapped("epoch").unwrap();
-    let snapshot = loaded.arena.clone();
+    let snapshot = loaded.arena().clone();
     cat.remove("epoch").unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 
