@@ -5,9 +5,9 @@
 //! paper), and real deployments re-release per **epoch** or per
 //! **region**: every hour (or every city) a fresh differentially private
 //! release replaces its predecessor while queries keep flowing. The
-//! library crates provide the read structures — `FrozenSynopsis`,
-//! `ShardedSynopsis`, `GridRoutedSynopsis` — but no lifecycle; this crate
-//! owns it:
+//! library crates provide the read structures — `FrozenSynopsis`, and
+//! `ShardedSynopsis` over per-shard `CellGrid`s — but no lifecycle; this
+//! crate owns it:
 //!
 //! * [`ReleaseStore`] holds a catalog of **named releases** (epoch/region
 //!   key → [`ShardHandle`], i.e. a frozen arena plus an optional
@@ -39,10 +39,17 @@
 //! every worker count). `crates/engine/tests/lifecycle.rs` property-tests
 //! this end to end.
 //!
-//! Failed mutations (unknown/duplicate key, overlapping regions,
-//! ungriddable release, retiring the last shard) leave the store — and
-//! every outstanding snapshot — completely unchanged: mutations stage on
-//! a copy of the catalog and publish only after every validation passed.
+//! Failed mutations (unknown/duplicate key, overlapping regions, a
+//! release of another dimensionality, ungriddable release, retiring the
+//! last shard) leave the store — and every outstanding snapshot —
+//! completely unchanged: mutations stage on a copy of the catalog and
+//! publish only after every validation passed.
+//!
+//! A store serves one dimensionality for its whole life: queries are
+//! decoded against the snapshot's dimensionality before they run (and
+//! the wire `HELO` announces it once per connection), so an add, swap or
+//! `load` whose release has another one is refused with
+//! `ShardError::MixedDims` — even a swap of the only shard.
 //!
 //! # Persistence
 //!
@@ -90,7 +97,7 @@ pub enum EngineError {
     /// `retire` would leave the store with nothing to serve.
     WouldBeEmpty,
     /// The resulting shard set cannot be assembled (overlapping regions,
-    /// mixed dimensionalities).
+    /// or a release whose dimensionality differs from the store's).
     Shard(ShardError),
     /// A gridded store could not build the new release's cell grid (e.g.
     /// inconsistent counts — see `GridRouteError`).
@@ -558,13 +565,15 @@ impl ReleaseStore {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Stage `op` on a copy of the catalog, validate, build the next
-    /// snapshot, run the `persist` durability hook, and only then
-    /// publish. Any error — the op's, the build's, or `persist`'s —
-    /// leaves the store exactly as it was. `persist` is deliberately
-    /// the **last** fallible step: when it journals the mutation, a
-    /// record exists for every published (acked) state, and no record
-    /// exists for a state that failed validation.
+    /// Stage `op` on a copy of the catalog, validate (the staged shards
+    /// keep the current snapshot's dimensionality, checked before any
+    /// grid is built), build the next snapshot, run the `persist`
+    /// durability hook, and only then publish. Any error — the op's, the
+    /// build's, or `persist`'s — leaves the store exactly as it was.
+    /// `persist` is deliberately the **last** fallible step: when it
+    /// journals the mutation, a record exists for every published
+    /// (acked) state, and no record exists for a state that failed
+    /// validation.
     fn mutate_with(
         &self,
         op: impl FnOnce(&mut BTreeMap<String, ShardHandle>) -> Result<(), EngineError>,
@@ -576,6 +585,14 @@ impl ReleaseStore {
         op(&mut next)?;
         if next.is_empty() {
             return Err(EngineError::WouldBeEmpty);
+        }
+        let dims = self.current.load().dims();
+        if let Some(found) = next.values().map(|h| h.arena().dims()).find(|&d| d != dims) {
+            return Err(ShardError::MixedDims {
+                expected: dims,
+                found,
+            }
+            .into());
         }
         let version = inner.version + 1;
         let (snapshot, grids_built, grid_cells_built) =
@@ -715,6 +732,30 @@ mod tests {
         let after = store.snapshot();
         assert_eq!(after.version(), before.version());
         assert_eq!(store.keys(), ["strip0", "strip1", "strip2", "strip3"]);
+    }
+
+    #[test]
+    fn swap_cannot_change_the_dimensionality() {
+        // swapping the only shard leaves a consistent shard set, but not
+        // one of the dimensionality queries were decoded for
+        let store =
+            ReleaseStore::open_gridded([("main", leaf_release(Rect::unit(2), 7.0))]).unwrap();
+        let mut persisted = false;
+        let refused = store.swap_with("main", leaf_release(Rect::unit(3), 7.0), |_| {
+            persisted = true;
+            Ok(())
+        });
+        assert_eq!(
+            refused.unwrap_err(),
+            EngineError::Shard(ShardError::MixedDims {
+                expected: 2,
+                found: 3
+            })
+        );
+        assert!(!persisted, "a refused swap journals nothing");
+        assert_eq!(store.stats().grids_built, 1, "nor builds a grid");
+        assert_eq!(store.snapshot().version(), 1);
+        assert_eq!(store.snapshot().dims(), 2);
     }
 
     #[test]

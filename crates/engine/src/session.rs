@@ -7,9 +7,10 @@
 //! text line protocol), decodes complete lines and frames into a job
 //! queue, and renders every reply into one output buffer.
 //! [`run_jobs`] executes the leading jobs of any number of sessions,
-//! coalescing their queries into **one pooled dispatch** through
-//! [`privtree_runtime::Coalescer`] and scattering each session's
-//! answers back into its own output. The TCP reactor drives every
+//! coalescing their queries into **one pooled dispatch** — one `Vec` of
+//! the round's queries, with each job's span of it in its `QueryMeta` —
+//! and scattering each session's answers back into its own output by
+//! those spans. The TCP reactor drives every
 //! connection of a listener through one [`run_jobs`] call per tick;
 //! [`crate::serve::serve_lines`] drives a single session over a
 //! blocking reader. Both record the same request telemetry
@@ -40,7 +41,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use privtree_runtime::telemetry::{Stage, TickTrace};
-use privtree_runtime::Coalescer;
 use privtree_spatial::query::RangeQuery;
 use privtree_store::frame::{parse_header, payload, FrameError};
 
@@ -586,7 +586,10 @@ impl Session {
 }
 
 /// `internal: <panic message>` — the failure a panicking command
-/// answers (after `err ` on text, in an `ERRF` frame on the wire).
+/// answers (after `err ` on text, in an `ERRF` frame on the wire). The
+/// message is rendered on one line: a multi-line payload (an
+/// `assert_eq!` failure spans three) would otherwise hand a text
+/// client extra reply lines and desynchronize its replies.
 fn internal_error(payload: &(dyn std::any::Any + Send)) -> String {
     let message = if let Some(s) = payload.downcast_ref::<&str>() {
         *s
@@ -595,7 +598,8 @@ fn internal_error(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload"
     };
-    format!("internal: {message}")
+    let words: Vec<&str> = message.split_whitespace().collect();
+    format!("internal: {}", words.join(" "))
 }
 
 /// Run every queued job of every session to completion, in per-session
@@ -616,7 +620,7 @@ pub(crate) fn run_jobs<S: AsMut<Session>>(
         // gather leading query jobs across every session (the
         // `coalesce` stage, charged only when something gathered)
         let gather_start = trace.capturing().then(Instant::now);
-        let mut co: Coalescer<(usize, Shape), RangeQuery> = Coalescer::new();
+        let mut queries: Vec<RangeQuery> = Vec::new();
         let mut metas: Vec<QueryMeta> = Vec::new();
         for (i, session) in sessions.iter_mut().enumerate() {
             let session = session.as_mut();
@@ -625,28 +629,31 @@ pub(crate) fn run_jobs<S: AsMut<Session>>(
             }
             while let Some(Job::Queries { .. }) = session.jobs.front() {
                 let Some(Job::Queries {
-                    queries,
+                    queries: batch,
                     shape,
                     created,
                 }) = session.jobs.pop_front()
                 else {
                     unreachable!("front was a query job");
                 };
+                // an empty batch still gets a span: its (empty) reply
+                // renders in turn
                 metas.push(QueryMeta {
+                    session: i,
                     shape,
                     created,
-                    offset: co.len(),
-                    len: queries.len(),
+                    offset: queries.len(),
+                    len: batch.len(),
                 });
-                co.push((i, shape), queries);
+                queries.extend(batch);
                 progressed = true;
             }
         }
-        if !co.is_empty() {
+        if !metas.is_empty() {
             if let Some(t) = gather_start {
                 trace.add_us(Stage::Coalesce, t.elapsed().as_micros() as u64);
             }
-            dispatch(sessions, ctx, &co, &metas, trace);
+            dispatch(sessions, ctx, &queries, &metas, trace);
         }
 
         // leading non-query jobs: control verbs, rendered replies, quit
@@ -685,45 +692,62 @@ pub(crate) fn run_jobs<S: AsMut<Session>>(
     }
 }
 
-/// One query job's bookkeeping through a pooled dispatch: where its
-/// queries sit in the coalesced batch, and when it decoded.
+/// One query job's bookkeeping through a pooled dispatch: whose it is,
+/// where its queries sit in the round's batch, and when it decoded.
 struct QueryMeta {
+    /// Index of the session that queued the job.
+    session: usize,
     shape: Shape,
     created: Option<Instant>,
-    /// Start of this job's queries in `co.items()`.
+    /// Start of this job's queries in the round's batch.
     offset: usize,
     len: usize,
 }
 
+impl QueryMeta {
+    /// This job's queries (and answers) in the round's batch.
+    fn span(&self) -> std::ops::Range<usize> {
+        self.offset..self.offset + self.len
+    }
+}
+
 /// One pooled dispatch for every leading query job this round, with
-/// results scattered back per session (bit-identical to solo
-/// dispatches — the batch answerers are per-item and the merge is pure
-/// concatenation).
+/// results scattered back per session by each job's span (bit-identical
+/// to solo dispatches — the batch answerers are per-item and the merge
+/// is pure concatenation).
 fn dispatch<S: AsMut<Session>>(
     sessions: &mut [S],
     ctx: &ServeContext,
-    co: &Coalescer<(usize, Shape), RangeQuery>,
+    queries: &[RangeQuery],
     metas: &[QueryMeta],
     trace: &mut TickTrace,
 ) {
     let m = &ctx.metrics;
     m.coalesced_dispatches.inc();
-    m.coalesced_queries.add(co.len() as u64);
-    m.coalesced_spans.add(co.spans() as u64);
+    m.coalesced_queries.add(queries.len() as u64);
+    m.coalesced_spans.add(metas.len() as u64);
     let snap = ctx.store.snapshot();
     let clock = trace.capturing() || metas.iter().any(|meta| meta.created.is_some());
     let pool_start = clock.then(Instant::now);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        snap.synopsis()
-            .answer_batch_with_pool(co.items(), privtree_runtime::global())
+        let answers = snap
+            .synopsis()
+            .answer_batch_with_pool(queries, privtree_runtime::global());
+        assert_eq!(
+            answers.len(),
+            queries.len(),
+            "batch dispatch must return one result per query"
+        );
+        answers
     }));
     let dispatch_us = pool_start.map_or(0, |t| t.elapsed().as_micros() as u64);
     trace.add_us(Stage::Dispatch, dispatch_us);
     match outcome {
         Ok(answers) => {
             trace.time(Stage::Scatter, || {
-                for (&(i, shape), slice) in co.scatter(&answers) {
-                    append_answers(sessions[i].as_mut(), shape, slice, ctx);
+                for meta in metas {
+                    let session = sessions[meta.session].as_mut();
+                    append_answers(session, meta.shape, &answers[meta.span()], ctx);
                 }
             });
             // per-job latency (decode to reply rendered) and the
@@ -740,7 +764,7 @@ fn dispatch<S: AsMut<Session>>(
                 ctx.observe_request(
                     &snap,
                     proto,
-                    &co.items()[meta.offset..meta.offset + meta.len],
+                    &queries[meta.span()],
                     created.elapsed().as_micros() as u64,
                     dispatch_us,
                 );
@@ -750,9 +774,9 @@ fn dispatch<S: AsMut<Session>>(
             // every participant learns of the failure; each session
             // keeps serving
             let problem = internal_error(payload.as_ref());
-            for &(i, shape) in co.sources() {
-                let out = &mut sessions[i].as_mut().outbuf;
-                match shape {
+            for meta in metas {
+                let out = &mut sessions[meta.session].as_mut().outbuf;
+                match meta.shape {
                     Shape::Text => out.extend_from_slice(format!("err {problem}\n").as_bytes()),
                     Shape::Wire { .. } => {
                         wire::encode_err_frame_into(out, wire::ERR_INTERNAL, &problem);
@@ -780,5 +804,24 @@ fn append_answers(session: &mut Session, shape: Shape, answers: &[f64], ctx: &Se
             wire::encode_answer_frame_into(&mut session.outbuf, answers, crc);
             ctx.metrics.wire_frames_out.inc();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn internal_errors_render_on_one_line() {
+        // the payload shape of an `assert_eq!` failure: three lines
+        let payload: Box<dyn std::any::Any + Send> = Box::new(String::from(
+            "assertion `left == right` failed: dims\n  left: 2\n right: 3",
+        ));
+        assert_eq!(
+            internal_error(payload.as_ref()),
+            "internal: assertion `left == right` failed: dims left: 2 right: 3"
+        );
+        let payload: Box<dyn std::any::Any + Send> = Box::new("torn\r\nmessage\n");
+        assert_eq!(internal_error(payload.as_ref()), "internal: torn message");
     }
 }

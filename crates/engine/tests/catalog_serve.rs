@@ -17,8 +17,9 @@ use privtree_spatial::dataset::PointSet;
 use privtree_spatial::geom::Rect;
 use privtree_spatial::quadtree::SplitConfig;
 use privtree_spatial::query::{RangeCountSynopsis, RangeQuery};
-use privtree_spatial::serialize::{grid_routed_to_text, release_from_text};
-use privtree_spatial::{FrozenSynopsis, GridRoutedSynopsis};
+use privtree_spatial::serialize::{release_from_text, release_to_text};
+use privtree_spatial::sharded::{ShardHandle, ShardedSynopsis};
+use privtree_spatial::{CellGrid, FrozenSynopsis};
 use privtree_store::{text_to_binary, Catalog, ReleaseFormat, StoreError};
 use rand::RngExt;
 
@@ -62,6 +63,13 @@ fn sample_release(domain: Rect, seed: u64, n: usize) -> FrozenSynopsis {
     )
     .unwrap()
     .freeze()
+}
+
+/// The grid the engine builds for `arena`: default resolution, shared
+/// pool.
+fn default_grid(arena: &FrozenSynopsis) -> CellGrid {
+    let bins = CellGrid::default_bins(arena);
+    CellGrid::build(arena, &bins, Some(privtree_runtime::global())).unwrap()
 }
 
 fn workload(n: usize, seed: u64) -> Vec<RangeQuery> {
@@ -111,13 +119,14 @@ impl Drop for TempDir {
 #[test]
 fn catalog_served_binary_matches_text_loaded_library() {
     let frozen = sample_release(Rect::unit(2), 61, 4000);
-    let engine = GridRoutedSynopsis::build(frozen).unwrap();
-    let text = grid_routed_to_text(&engine);
+    let text = release_to_text(&frozen, Some(&default_grid(&frozen)));
 
     // the reference: the text path, loaded exactly as the library would
+    // and served as one gridded shard
     let (ref_arena, ref_grid) = release_from_text(&text).unwrap();
-    let reference =
-        GridRoutedSynopsis::from_prebuilt(ref_arena, ref_grid.expect("grid section shipped"));
+    let handle =
+        ShardHandle::from_release(ref_arena, Some(ref_grid.expect("grid section shipped")));
+    let reference = ShardedSynopsis::from_handles(vec![handle]).unwrap();
 
     // the lane under test: text → binary → catalog (validated import)
     let dir = TempDir::new("lane");
@@ -178,11 +187,7 @@ fn save_and_load_verbs_round_trip_through_the_catalog() {
 
     // east arrives as a key=path text file beside the cataloged west
     let east_path = dir.0.join("east-input.txt");
-    std::fs::write(
-        &east_path,
-        privtree_spatial::serialize::frozen_to_text(&east),
-    )
-    .unwrap();
+    std::fs::write(&east_path, release_to_text(&east, None)).unwrap();
 
     let input = format!(
         "keys\n\
@@ -256,9 +261,7 @@ fn flip_middle_byte(path: &std::path::Path) {
 /// manifest checksum are valid, but the grid does not fit the arena it
 /// ships with.
 fn save_with_foreign_grid(catalog: &mut Catalog, key: &str, region: Rect) {
-    let (_, grid) = GridRoutedSynopsis::build(sample_release(region, 131, 1500))
-        .unwrap()
-        .into_parts();
+    let grid = default_grid(&sample_release(region, 131, 1500));
     let arena = sample_release(region, 130, 60);
     catalog
         .save(key, &arena, Some(&grid), ReleaseFormat::Binary)
@@ -388,11 +391,7 @@ fn flags_without_their_prerequisite_are_refused() {
         .unwrap();
     drop(catalog);
     let release_path = dir.0.join("west-input.txt");
-    std::fs::write(
-        &release_path,
-        privtree_spatial::serialize::frozen_to_text(&arena),
-    )
-    .unwrap();
+    std::fs::write(&release_path, release_to_text(&arena, None)).unwrap();
     let release = format!("west={}", release_path.display());
     let catalog_dir = dir.0.to_str().unwrap();
 

@@ -3,7 +3,9 @@
 //! buffering), stalled and hostile peers are shed or evicted without
 //! perturbing a concurrent well-behaved client (bit-exact answers
 //! throughout), the connection cap answers `err busy`, panicking verbs
-//! are isolated per command, and a drain finishes inside its deadline.
+//! are isolated per command, a pipelined swap cannot change the
+//! dimensionality queries were decoded for, and a drain finishes inside
+//! its deadline.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -21,6 +23,7 @@ use privtree_spatial::dataset::PointSet;
 use privtree_spatial::geom::Rect;
 use privtree_spatial::quadtree::SplitConfig;
 use privtree_spatial::query::{RangeCountSynopsis, RangeQuery};
+use privtree_spatial::serialize::release_to_text;
 use privtree_spatial::FrozenSynopsis;
 use rand::RngExt;
 
@@ -352,6 +355,47 @@ fn stalled_reader_is_evicted_by_the_idle_deadline() {
     reader.read_line(&mut reply).unwrap();
     assert_eq!(reply.trim_end(), "keys main");
     drop(stalled);
+    assert!(server.drain(Duration::from_secs(5)));
+}
+
+/// A `swap` to a release of another dimensionality is refused. A
+/// `count` pipelined behind it in the same write was decoded for the
+/// store's 2 dimensions before the swap ran, and it still answers from
+/// the 2-d snapshot.
+#[test]
+fn pipelined_swap_cannot_change_the_dimensionality() {
+    let ctx = test_context(108);
+    let snap = ctx.store.snapshot();
+    let cube = FrozenSynopsis::from_tree(
+        &privtree_core::tree::Tree::with_root(Rect::unit(3)),
+        &[9.0],
+        "cube",
+    );
+    let path = std::env::temp_dir().join(format!(
+        "privtree-hardening-{}-cube.txt",
+        std::process::id()
+    ));
+    std::fs::write(&path, release_to_text(&cube, None)).unwrap();
+    let server = spawn_tcp(Arc::clone(&ctx), "127.0.0.1:0").unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let script = format!("swap main {}\ncount 0,0 1,1\nquit\n", path.display());
+    stream.write_all(script.as_bytes()).unwrap();
+    let mut replies = String::new();
+    stream.read_to_string(&mut replies).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let whole = RangeQuery::new(Rect::unit(2));
+    assert_eq!(
+        replies.lines().collect::<Vec<_>>(),
+        [
+            "err cannot assemble shard set: mixed shard dimensionality: expected 2, found 3"
+                .to_string(),
+            format!("{:.17e}", snap.answer(&whole)),
+        ]
+    );
+    assert_eq!(ctx.store.snapshot().version(), 1);
     assert!(server.drain(Duration::from_secs(5)));
 }
 

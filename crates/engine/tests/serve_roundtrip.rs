@@ -15,9 +15,10 @@ use privtree_spatial::dataset::PointSet;
 use privtree_spatial::geom::Rect;
 use privtree_spatial::quadtree::SplitConfig;
 use privtree_spatial::query::{RangeCountSynopsis, RangeQuery};
-use privtree_spatial::serialize::frozen_to_text;
+use privtree_spatial::serialize::release_to_text;
+use privtree_spatial::sharded::{ShardHandle, ShardedSynopsis};
 use privtree_spatial::synopsis::privtree_synopsis;
-use privtree_spatial::FrozenSynopsis;
+use privtree_spatial::{CellGrid, FrozenSynopsis};
 use rand::RngExt;
 
 /// The binary under test (cargo builds and points at it for integration
@@ -42,6 +43,15 @@ fn sample_release(domain: Rect, seed: u64, n: usize) -> FrozenSynopsis {
     )
     .unwrap()
     .freeze()
+}
+
+/// `arena` served as one shard with a grid at the default resolution,
+/// built on the shared pool.
+fn gridded_shard(arena: &FrozenSynopsis) -> ShardedSynopsis {
+    let bins = CellGrid::default_bins(arena);
+    let grid = CellGrid::build(arena, &bins, Some(privtree_runtime::global())).unwrap();
+    ShardedSynopsis::from_handles(vec![ShardHandle::from_release(arena.clone(), Some(grid))])
+        .unwrap()
 }
 
 fn workload(n: usize, seed: u64) -> Vec<RangeQuery> {
@@ -100,7 +110,7 @@ impl Drop for Reaper {
 #[test]
 fn stdin_round_trip_matches_library_answers() {
     let frozen = sample_release(Rect::unit(2), 5, 4000);
-    let release_file = TempFile::write("release.txt", &frozen_to_text(&frozen));
+    let release_file = TempFile::write("release.txt", &release_to_text(&frozen, None));
     let queries = workload(200, 6);
 
     // workload: singles, one batch, and a stats probe
@@ -231,7 +241,7 @@ fn stats_reports_per_release_storage_mode() {
 #[test]
 fn bad_batch_line_does_not_desynchronize_the_protocol() {
     let frozen = sample_release(Rect::unit(2), 31, 1500);
-    let release_file = TempFile::write("align-release.txt", &frozen_to_text(&frozen));
+    let release_file = TempFile::write("align-release.txt", &release_to_text(&frozen, None));
     let q = RangeQuery::new(Rect::new(&[0.1, 0.2], &[0.5, 0.6]));
     let input = format!(
         "batch 3\n\
@@ -285,7 +295,7 @@ fn bad_batch_line_does_not_desynchronize_the_protocol() {
 #[test]
 fn protocol_errors_never_terminate_the_connection() {
     let frozen = sample_release(Rect::unit(2), 47, 1500);
-    let release_file = TempFile::write("errs-release.txt", &frozen_to_text(&frozen));
+    let release_file = TempFile::write("errs-release.txt", &release_to_text(&frozen, None));
     let q = RangeQuery::new(Rect::new(&[0.2, 0.1], &[0.6, 0.5]));
 
     // one connection, a gauntlet of malformed traffic, then a real query
@@ -356,13 +366,13 @@ fn epoch_operations_swap_releases_mid_stream() {
     let other = sample_release(right, 13, 2500);
     // the store runs with --grids, so a query inside the left region is
     // answered by that shard's grid-routed descent (entered with a zero
-    // accumulator) — bit-identical to the standalone grid-routed engine
-    // over the same release at the default resolution
-    let grid_a = privtree_spatial::GridRoutedSynopsis::build(epoch_a.clone()).unwrap();
-    let grid_b = privtree_spatial::GridRoutedSynopsis::build(epoch_b.clone()).unwrap();
-    let file_a = TempFile::write("epoch-a.txt", &frozen_to_text(&epoch_a));
-    let file_b = TempFile::write("epoch-b.txt", &frozen_to_text(&epoch_b));
-    let file_other = TempFile::write("other.txt", &frozen_to_text(&other));
+    // accumulator) — bit-identical to the same release served alone as
+    // one shard with a grid at the default resolution
+    let grid_a = gridded_shard(&epoch_a);
+    let grid_b = gridded_shard(&epoch_b);
+    let file_a = TempFile::write("epoch-a.txt", &release_to_text(&epoch_a, None));
+    let file_b = TempFile::write("epoch-b.txt", &release_to_text(&epoch_b, None));
+    let file_other = TempFile::write("other.txt", &release_to_text(&other, None));
 
     // a query strictly inside the left region is answered by that shard
     // alone, so the stream must see epoch A bits, then epoch B bits
@@ -432,7 +442,7 @@ fn epoch_operations_swap_releases_mid_stream() {
 #[test]
 fn tcp_mode_serves_connections() {
     let frozen = sample_release(Rect::unit(2), 21, 2000);
-    let release_file = TempFile::write("tcp-release.txt", &frozen_to_text(&frozen));
+    let release_file = TempFile::write("tcp-release.txt", &release_to_text(&frozen, None));
     let child = Command::new(BIN)
         .args([
             "--listen",
@@ -483,7 +493,7 @@ fn mixed_text_and_binary_clients_answer_bit_exact() {
     use privtree_engine::wire::WireClient;
 
     let frozen = sample_release(Rect::unit(2), 61, 2500);
-    let release_file = TempFile::write("mixed-release.txt", &frozen_to_text(&frozen));
+    let release_file = TempFile::write("mixed-release.txt", &release_to_text(&frozen, None));
     let child = Command::new(BIN)
         .args([
             "--listen",
@@ -576,7 +586,7 @@ fn stats_reports_protocol_and_coalescing_counters() {
     use privtree_engine::wire::WireClient;
 
     let frozen = sample_release(Rect::unit(2), 71, 1500);
-    let release_file = TempFile::write("stats-release.txt", &frozen_to_text(&frozen));
+    let release_file = TempFile::write("stats-release.txt", &release_to_text(&frozen, None));
     let child = Command::new(BIN)
         .args([
             "--listen",

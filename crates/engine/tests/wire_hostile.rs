@@ -152,7 +152,8 @@ fn oversized_frame_answers_typed_err_and_closes() {
 
 /// A corrupted CRC answers `ERRF` code 3 and the connection
 /// **continues** — the full frame was consumed, so the stream is still
-/// aligned and the next (valid) frame answers normally.
+/// aligned and the next (valid) frames answer normally, an empty one
+/// included.
 #[test]
 fn bad_crc_answers_err_and_the_stream_continues() {
     let (ctx, server) = spawn(303, ServeOptions::default());
@@ -177,6 +178,22 @@ fn bad_crc_answers_err_and_the_stream_continues() {
     let answers = wire::decode_answer_payload(&body).unwrap();
     for (q, a) in qs.iter().zip(&answers) {
         assert_eq!(a.to_bits(), snap.answer(q).to_bits());
+    }
+
+    // an empty query frame between two others, in one write: it still
+    // gets its (empty) answer frame, in turn
+    let mut frames = wire::encode_query_frame(&qs[..2], 2, false);
+    frames.extend_from_slice(&wire::encode_query_frame(&[], 2, false));
+    frames.extend_from_slice(&wire::encode_query_frame(&qs[2..3], 2, false));
+    stream.write_all(&frames).unwrap();
+    for expected in [&qs[..2], &[], &qs[2..3]] {
+        let (tag, body) = read_frame(&mut stream);
+        assert_eq!(tag, wire::TAG_ANSWERS);
+        let answers = wire::decode_answer_payload(&body).unwrap();
+        assert_eq!(answers.len(), expected.len());
+        for (q, a) in expected.iter().zip(&answers) {
+            assert_eq!(a.to_bits(), snap.answer(q).to_bits());
+        }
     }
     stream
         .write_all(&encode_frame(wire::TAG_QUIT, &[], false))

@@ -49,13 +49,11 @@
 //! any chunk, on any thread, is re-raised in the caller then), so no
 //! borrow outlives the call.
 
-pub mod coalesce;
 pub mod failpoints;
 pub mod readiness;
 pub mod shutdown;
 pub mod telemetry;
 
-pub use coalesce::Coalescer;
 pub use shutdown::{install_termination_handler, ShutdownSignal};
 
 use std::any::Any;

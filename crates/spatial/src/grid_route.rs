@@ -4,9 +4,10 @@
 //! [`crate::frozen::FrozenSynopsis`] answers every query with a full
 //! root-to-leaf traversal. That is already allocation-free, but on a
 //! single core the only way to serve more queries per second is to walk
-//! *fewer nodes per query*. [`GridRoutedSynopsis`] precomputes, once at
-//! freeze time, a dense uniform grid over the release's root box; each
-//! cell of the [`CellGrid`] stores
+//! *fewer nodes per query*. A [`CellGrid`] precomputes, once per
+//! release, a dense uniform grid over the release's root box, and
+//! [`crate::sharded::ShardedSynopsis`] descends every shard that carries
+//! one through it. Each cell stores
 //!
 //! * an **anchor** — the arena index of the deepest frozen node whose
 //!   box fully covers the cell, so traversals for queries inside the
@@ -80,9 +81,8 @@
 use privtree_runtime::WorkerPool;
 
 use crate::columns::Column;
-use crate::frozen::{auto_batch, dispatch_batch, with_query_scratch, FrozenSynopsis};
+use crate::frozen::FrozenSynopsis;
 use crate::geom::Rect;
-use crate::query::{RangeCountSynopsis, RangeQuery};
 use crate::MAX_DIMS;
 
 /// Why a grid could not be attached to a release.
@@ -221,9 +221,9 @@ impl Geometry {
 
 /// The precomputed routing structure for one frozen arena: per-cell
 /// anchors, per-cell exact contributions, their summed-area table, and
-/// the boundary shell's face tables and run index.
-/// Held by [`GridRoutedSynopsis`] (one release) and by
-/// [`crate::sharded::ShardedSynopsis`] (one grid per shard arena).
+/// the boundary shell's face tables and run index. Held by a
+/// [`crate::sharded::ShardHandle`], one grid per shard arena, and
+/// answered through [`crate::sharded::ShardedSynopsis`].
 #[derive(Debug, Clone)]
 pub struct CellGrid {
     geo: Geometry,
@@ -329,6 +329,24 @@ impl CellGrid {
             }
         }
         Ok(Self::assemble(frozen, geo, anchors, values))
+    }
+
+    /// Default resolution: aim for ~1 cell per tree node spread evenly
+    /// across dimensions — cells at roughly the release's leaf scale —
+    /// **snapped up to a power of two**. Dyadic cell boundaries coincide
+    /// with the builders' bisection boundaries, so each cell nests inside
+    /// the tree's boxes all the way down: the anchor descent reaches a
+    /// leaf (or a node at the cell's own scale) instead of stopping at
+    /// the first straddled coarse boundary, so most shell cells are
+    /// leaf-anchored and answered by the face tables, and the anchored
+    /// walks that remain stay proportional to the local tree
+    /// complexity. Non-dyadic resolutions remain *correct* (the equality
+    /// contract never depends on alignment), just slower. A finer grid
+    /// costs memory and build time (20 + 8d bytes per cell), not query
+    /// time on the faces.
+    pub fn default_bins(frozen: &FrozenSynopsis) -> Vec<usize> {
+        let d = frozen.dims();
+        vec![1usize << default_pow(frozen.node_count(), d); d]
     }
 
     fn geometry(frozen: &FrozenSynopsis, bins: &[usize]) -> Result<Geometry, GridRouteError> {
@@ -1120,138 +1138,17 @@ fn fits_budget(bins: &[usize]) -> bool {
     grid_bytes(bins).is_some_and(|b| b <= MAX_GRID_BYTES)
 }
 
-/// A frozen release plus its cell grid: the grid-routed serving engine.
-#[derive(Debug, Clone)]
-pub struct GridRoutedSynopsis {
-    frozen: FrozenSynopsis,
-    grid: CellGrid,
-    label: &'static str,
-}
+/// [`CellGrid::default_bins`] under its old name, on a type with no
+/// fields and no constructor. Kept only because `servebench/src/boot.rs`
+/// still calls it by this name.
+#[doc(hidden)]
+pub enum GridRoutedSynopsis {}
 
 impl GridRoutedSynopsis {
-    /// Attach a grid at the default resolution (see
-    /// [`GridRoutedSynopsis::default_bins`]), precomputed on the shared
-    /// worker pool.
-    pub fn build(frozen: FrozenSynopsis) -> Result<Self, GridRouteError> {
-        let bins = Self::default_bins(&frozen);
-        Self::with_bins(frozen, &bins)
-    }
-
-    /// Attach a grid with an explicit per-dimension resolution.
-    pub fn with_bins(frozen: FrozenSynopsis, bins: &[usize]) -> Result<Self, GridRouteError> {
-        Self::with_bins_and_pool(frozen, bins, Some(privtree_runtime::global()))
-    }
-
-    /// [`GridRoutedSynopsis::with_bins`] pinned to an explicit pool
-    /// (`None` precomputes on the calling thread).
-    pub fn with_bins_and_pool(
-        frozen: FrozenSynopsis,
-        bins: &[usize],
-        pool: Option<&WorkerPool>,
-    ) -> Result<Self, GridRouteError> {
-        let grid = CellGrid::build(&frozen, bins, pool)?;
-        Ok(Self::from_prebuilt(frozen, grid))
-    }
-
-    /// Wrap an arena with an already-validated grid (deserialization —
-    /// e.g. a [`CellGrid::from_parts`] result, or the pieces of
-    /// [`GridRoutedSynopsis::into_parts`]). The pairing is trusted the
-    /// same way [`crate::sharded::ShardHandle::from_release`] trusts
-    /// it: a grid built for a *different* arena answers garbage.
-    pub fn from_prebuilt(frozen: FrozenSynopsis, grid: CellGrid) -> Self {
-        Self {
-            frozen,
-            grid,
-            label: "GridRouted",
-        }
-    }
-
-    /// Default resolution: aim for ~1 cell per tree node spread evenly
-    /// across dimensions — cells at roughly the release's leaf scale —
-    /// **snapped up to a power of two**. Dyadic cell boundaries coincide
-    /// with the builders' bisection boundaries, so each cell nests inside
-    /// the tree's boxes all the way down: the anchor descent reaches a
-    /// leaf (or a node at the cell's own scale) instead of stopping at
-    /// the first straddled coarse boundary, so most shell cells are
-    /// leaf-anchored and answered by the face tables, and the anchored
-    /// walks that remain stay proportional to the local tree
-    /// complexity. Non-dyadic resolutions remain *correct* (the equality
-    /// contract never depends on alignment), just slower. A finer grid
-    /// costs memory and build time (20 + 8d bytes per cell), not query
-    /// time on the faces.
+    /// [`CellGrid::default_bins`].
+    #[doc(hidden)]
     pub fn default_bins(frozen: &FrozenSynopsis) -> Vec<usize> {
-        let d = frozen.dims();
-        vec![1usize << default_pow(frozen.node_count(), d); d]
-    }
-
-    /// The underlying frozen arena.
-    pub fn frozen(&self) -> &FrozenSynopsis {
-        &self.frozen
-    }
-
-    /// The routing grid.
-    pub fn grid(&self) -> &CellGrid {
-        &self.grid
-    }
-
-    /// Take the engine apart into its arena and grid — e.g. to hand a
-    /// deserialized release (grid included) to the sharded/epoch layer as
-    /// one [`crate::sharded::ShardHandle`].
-    pub fn into_parts(self) -> (FrozenSynopsis, CellGrid) {
-        (self.frozen, self.grid)
-    }
-
-    /// Override the display label.
-    pub fn with_label(mut self, label: &'static str) -> Self {
-        self.label = label;
-        self
-    }
-
-    /// Answer a workload on the calling thread in input order with one
-    /// reused traversal stack — the reference every other batch path is
-    /// compared against (per query the float operations are identical,
-    /// so pool chunking stays bit-identical).
-    pub fn answer_batch_sequential(&self, queries: &[RangeQuery]) -> Vec<f64> {
-        let mut stack = Vec::with_capacity(64);
-        queries
-            .iter()
-            .map(|q| {
-                self.grid
-                    .answer_span(&self.frozen, q.rect.lo(), q.rect.hi(), &mut stack, 0.0)
-            })
-            .collect()
-    }
-
-    /// Answer a workload chunked across `pool`. Bit-identical to the
-    /// sequential path for every worker count.
-    pub fn answer_batch_with_pool(&self, queries: &[RangeQuery], pool: &WorkerPool) -> Vec<f64> {
-        dispatch_batch(queries, pool, |chunk| self.answer_batch_sequential(chunk))
-    }
-}
-
-impl RangeCountSynopsis for GridRoutedSynopsis {
-    fn answer(&self, q: &RangeQuery) -> f64 {
-        with_query_scratch(|stack, _| {
-            self.grid
-                .answer_span(&self.frozen, q.rect.lo(), q.rect.hi(), stack, 0.0)
-        })
-    }
-
-    fn answer_batch(&self, queries: &[RangeQuery]) -> Vec<f64> {
-        auto_batch(queries, |chunk| self.answer_batch_sequential(chunk))
-    }
-
-    fn label(&self) -> &'static str {
-        self.label
-    }
-}
-
-impl FrozenSynopsis {
-    /// Upgrade into the grid-routed engine at the default resolution.
-    /// Fails (returning nothing but the error — freeze again to retry)
-    /// when the release cannot be grid-routed; see [`GridRouteError`].
-    pub fn grid_route(self) -> Result<GridRoutedSynopsis, GridRouteError> {
-        GridRoutedSynopsis::build(self)
+        CellGrid::default_bins(frozen)
     }
 }
 
@@ -1260,6 +1157,8 @@ mod tests {
     use super::*;
     use crate::dataset::PointSet;
     use crate::quadtree::SplitConfig;
+    use crate::query::{RangeCountSynopsis, RangeQuery};
+    use crate::sharded::{ShardHandle, ShardedSynopsis};
     use crate::synopsis::{exact_synopsis, privtree_synopsis, simple_tree_synopsis};
     use privtree_dp::budget::Epsilon;
     use privtree_dp::rng::seeded;
@@ -1291,6 +1190,19 @@ mod tests {
         )
         .unwrap()
         .freeze()
+    }
+
+    /// `frozen` served the way the engine serves a gridded release: one
+    /// shard carrying a grid of `bins`, built on the shared pool.
+    fn served(frozen: &FrozenSynopsis, bins: &[usize]) -> ShardedSynopsis {
+        let grid = CellGrid::build(frozen, bins, Some(privtree_runtime::global())).unwrap();
+        ShardedSynopsis::from_handles(vec![ShardHandle::from_release(frozen.clone(), Some(grid))])
+            .unwrap()
+    }
+
+    /// The grid of a [`served`] release's one shard.
+    fn grid_of(engine: &ShardedSynopsis) -> &CellGrid {
+        engine.shards()[0].grid().expect("served with a grid")
     }
 
     fn random_queries(n: usize, seed: u64) -> Vec<RangeQuery> {
@@ -1349,7 +1261,7 @@ mod tests {
             .collect()
     }
 
-    fn assert_matches(frozen: &FrozenSynopsis, grid: &GridRoutedSynopsis, queries: &[RangeQuery]) {
+    fn assert_matches(frozen: &FrozenSynopsis, grid: &ShardedSynopsis, queries: &[RangeQuery]) {
         for q in queries {
             let a = frozen.answer(q);
             let b = grid.answer(q);
@@ -1363,28 +1275,28 @@ mod tests {
         let frozen = sample_frozen(1);
         let queries = random_queries(250, 2);
         for bins in [[1usize, 1], [2, 3], [17, 17], [64, 64], [128, 31]] {
-            let grid = GridRoutedSynopsis::with_bins(frozen.clone(), &bins).unwrap();
+            let grid = served(&frozen, &bins);
             assert_matches(&frozen, &grid, &queries);
         }
         for bins in [[13usize, 7], [64, 64], [128, 31]] {
-            let grid = GridRoutedSynopsis::with_bins(frozen.clone(), &bins).unwrap();
-            assert_matches(&frozen, &grid, &few_cell_queries(grid.grid(), 400, 3));
+            let grid = served(&frozen, &bins);
+            assert_matches(&frozen, &grid, &few_cell_queries(grid_of(&grid), 400, 3));
         }
     }
 
     #[test]
     fn default_build_matches_frozen() {
         let frozen = sample_frozen(3);
-        let grid = frozen.clone().grid_route().unwrap();
-        assert_eq!(grid.grid().bins().len(), 2);
-        assert!(grid.grid().memory_bytes() > 0);
+        let grid = served(&frozen, &CellGrid::default_bins(&frozen));
+        assert_eq!(grid_of(&grid).bins().len(), 2);
+        assert!(grid_of(&grid).memory_bytes() > 0);
         assert_matches(&frozen, &grid, &random_queries(300, 4));
     }
 
     #[test]
     fn degenerate_and_whole_domain_queries_are_exact() {
         let frozen = sample_frozen(5);
-        let grid = GridRoutedSynopsis::with_bins(frozen.clone(), &[13, 7]).unwrap();
+        let grid = served(&frozen, &[13, 7]);
         for q in [
             RangeQuery::new(Rect::unit(2)),                         // whole domain
             RangeQuery::new(Rect::new(&[-1.0, -1.0], &[2.0, 2.0])), // superset
@@ -1405,14 +1317,14 @@ mod tests {
     #[test]
     fn anchored_shell_traversals_are_bit_identical() {
         let frozen = sample_frozen(7);
-        let grid = GridRoutedSynopsis::with_bins(frozen.clone(), &[23, 29]).unwrap();
+        let grid = CellGrid::build(&frozen, &[23, 29], Some(privtree_runtime::global())).unwrap();
         let mut rng = seeded(8);
         for _ in 0..300 {
             let coord = [
                 (rng.random::<f64>() * 23.0) as usize % 23,
                 (rng.random::<f64>() * 29.0) as usize % 29,
             ];
-            let cell = grid.grid().cell_rect(&coord);
+            let cell = grid.cell_rect(&coord);
             // a random sub-box of the cell
             let mut lo = [0.0; 2];
             let mut hi = [0.0; 2];
@@ -1422,7 +1334,7 @@ mod tests {
                 hi[k] = cell.lo()[k] + a.max(b) * cell.side(k);
             }
             let q = RangeQuery::new(Rect::new(&lo, &hi));
-            let anchor = grid.grid().anchor_at(&coord) as usize;
+            let anchor = grid.anchor_at(&coord) as usize;
             assert_eq!(
                 frozen.answer(&q).to_bits(),
                 frozen.answer_from(anchor, &q).to_bits(),
@@ -1434,12 +1346,12 @@ mod tests {
     #[test]
     fn cell_values_equal_root_traversal_of_cells() {
         let frozen = sample_frozen(9);
-        let grid = GridRoutedSynopsis::with_bins(frozen.clone(), &[11, 5]).unwrap();
+        let grid = CellGrid::build(&frozen, &[11, 5], Some(privtree_runtime::global())).unwrap();
         for i in 0..11 {
             for j in 0..5 {
-                let cell = grid.grid().cell_rect(&[i, j]);
+                let cell = grid.cell_rect(&[i, j]);
                 let expected = frozen.answer(&RangeQuery::new(cell));
-                let got = grid.grid().values()[i * 5 + j];
+                let got = grid.values()[i * 5 + j];
                 assert_eq!(expected.to_bits(), got.to_bits(), "cell ({i},{j})");
             }
         }
@@ -1448,7 +1360,7 @@ mod tests {
     #[test]
     fn batch_paths_are_bit_identical() {
         let frozen = sample_frozen(11);
-        let grid = GridRoutedSynopsis::with_bins(frozen, &[40, 40]).unwrap();
+        let grid = served(&frozen, &[40, 40]);
         let queries = random_queries(1224, 12);
         let reference = grid.answer_batch_sequential(&queries);
         for (q, r) in queries.iter().zip(&reference) {
@@ -1488,7 +1400,7 @@ mod tests {
     fn exact_release_stays_exact() {
         let ps = clustered(3000, 15);
         let frozen = exact_synopsis(&ps, Rect::unit(2), SplitConfig::full(2), 25.0, None).freeze();
-        let grid = GridRoutedSynopsis::with_bins(frozen, &[32, 32]).unwrap();
+        let grid = served(&frozen, &[32, 32]);
         for q in [
             Rect::new(&[0.0, 0.0], &[0.5, 0.5]),
             Rect::new(&[0.125, 0.25], &[0.625, 0.875]),
@@ -1513,7 +1425,8 @@ mod tests {
         )
         .unwrap()
         .freeze();
-        match GridRoutedSynopsis::build(frozen) {
+        let bins = CellGrid::default_bins(&frozen);
+        match CellGrid::build(&frozen, &bins, Some(privtree_runtime::global())) {
             Err(GridRouteError::InconsistentCounts { .. }) => {}
             other => panic!("expected InconsistentCounts, got {other:?}"),
         }
@@ -1548,7 +1461,7 @@ mod tests {
         let mut bins = vec![1usize; 8];
         bins[0] = 1 << 22;
         assert!(matches!(
-            GridRoutedSynopsis::with_bins(frozen.clone(), &bins),
+            CellGrid::build(&frozen, &bins, Some(privtree_runtime::global())),
             Err(GridRouteError::BadResolution(_))
         ));
         // columns of the right length, as a decoded file would supply
@@ -1563,15 +1476,19 @@ mod tests {
     fn bad_resolutions_are_refused() {
         let frozen = sample_frozen(19);
         assert!(matches!(
-            GridRoutedSynopsis::with_bins(frozen.clone(), &[0, 4]),
+            CellGrid::build(&frozen, &[0, 4], Some(privtree_runtime::global())),
             Err(GridRouteError::BadResolution(_))
         ));
         assert!(matches!(
-            GridRoutedSynopsis::with_bins(frozen.clone(), &[4]),
+            CellGrid::build(&frozen, &[4], Some(privtree_runtime::global())),
             Err(GridRouteError::BadResolution(_))
         ));
         assert!(matches!(
-            GridRoutedSynopsis::with_bins(frozen, &[1 << 16, 1 << 16]),
+            CellGrid::build(
+                &frozen,
+                &[1 << 16, 1 << 16],
+                Some(privtree_runtime::global())
+            ),
             Err(GridRouteError::BadResolution(_))
         ));
     }
@@ -1582,8 +1499,8 @@ mod tests {
         // lines are anchored at internal nodes, in runs along both axes
         let frozen = sample_frozen(31);
         let bins = [7usize, 9];
-        let grid = GridRoutedSynopsis::with_bins(frozen.clone(), &bins).unwrap();
-        let g = grid.grid();
+        let grid = served(&frozen, &bins);
+        let g = grid_of(&grid);
         let internal = |c: [usize; 2]| frozen.child_count()[g.anchor_at(&c) as usize] > 0;
         let long_run = |along: usize| {
             (0..bins[1 - along]).any(|e| {
@@ -1667,7 +1584,7 @@ mod tests {
             .unwrap()
             .freeze();
             for &bins in resolutions {
-                let grid = GridRoutedSynopsis::with_bins(frozen.clone(), bins).unwrap();
+                let grid = served(&frozen, bins);
                 let mut rng = seeded(23);
                 let random: Vec<RangeQuery> = (0..120)
                     .map(|_| {
@@ -1682,7 +1599,7 @@ mod tests {
                     })
                     .collect();
                 assert_matches(&frozen, &grid, &random);
-                assert_matches(&frozen, &grid, &few_cell_queries(grid.grid(), 400, 24));
+                assert_matches(&frozen, &grid, &few_cell_queries(grid_of(&grid), 400, 24));
             }
         }
     }
@@ -1691,8 +1608,8 @@ mod tests {
     fn single_node_release_grid() {
         let tree = privtree_core::tree::Tree::with_root(Rect::unit(2));
         let frozen = FrozenSynopsis::from_tree(&tree, &[8.0], "tiny");
-        let grid = GridRoutedSynopsis::with_bins(frozen.clone(), &[4, 4]).unwrap();
-        assert!(grid.grid().anchors().iter().all(|&a| a == 0));
+        let grid = served(&frozen, &[4, 4]);
+        assert!(grid_of(&grid).anchors().iter().all(|&a| a == 0));
         let q = RangeQuery::new(Rect::new(&[0.1, 0.1], &[0.6, 0.6]));
         let a = frozen.answer(&q);
         let b = grid.answer(&q);

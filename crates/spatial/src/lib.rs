@@ -19,21 +19,24 @@
 //!   structure-of-arrays flattening of a release for serving workloads:
 //!   allocation-free single queries (thread-local traversal stack) and
 //!   pool-chunked batches.
-//! * [`grid_route`] — [`grid_route::GridRoutedSynopsis`], the grid-routed
-//!   accelerator over a frozen arena: a dense uniform cell grid built at
-//!   freeze time (per-cell anchors + summed-area table of exact cell
-//!   contributions) answers the interior of a query in O(2^d) lookups.
-//!   The boundary shell is face lookups plus anchored walks: each face
-//!   answers its leaf-anchored cells from a per-dimension prefix table
-//!   in O(2^(d−1)) lookups and walks its runs of internal-anchored cells
+//! * [`grid_route`] — [`grid_route::CellGrid`], the grid-routed
+//!   accelerator for a frozen arena: a dense uniform cell grid (per-cell
+//!   anchors + summed-area table of exact cell contributions) answers
+//!   the interior of a query in O(2^d) lookups. The boundary shell is
+//!   face lookups plus anchored walks: each face answers its
+//!   leaf-anchored cells from a per-dimension prefix table in
+//!   O(2^(d−1)) lookups and walks its runs of internal-anchored cells
 //!   from their anchors; cells cut along two or more dimensions take
 //!   short cell-anchored traversals.
 //! * [`sharded`] — [`sharded::ShardedSynopsis`], multi-arena serving with
 //!   domain-based query routing: one frozen arena per epoch/region shard
 //!   (or per cut subtree of one release, answering bit-identically to the
-//!   unsharded arena), optionally grid-routing each shard descent.
-//! * [`serialize`] — plain-text export/import of released synopses,
-//!   including the precomputed cell grid alongside a release.
+//!   unsharded arena), each shard descent grid-routed when its
+//!   [`sharded::ShardHandle`] carries a grid. It is the one gridded
+//!   engine; a single gridded release serves as a one-shard synopsis.
+//! * [`serialize`] — the plain-text release format:
+//!   [`serialize::release_to_text`]/[`serialize::release_from_text`]
+//!   write and read an arena plus its optional cell grid.
 //! * [`synopsis`] — private spatial synopses: PrivTree + noisy leaf counts
 //!   (Section 3.4) or SimpleTree with its own per-node counts, answered
 //!   with the 4-case top-down traversal of Section 2.2.
@@ -54,7 +57,7 @@ pub use columns::{Column, ColumnError, ColumnScalar, StableBytes};
 pub use dataset::PointSet;
 pub use frozen::{FlatLayoutError, FrozenSynopsis};
 pub use geom::Rect;
-pub use grid_route::{CellGrid, GridRouteError, GridRoutedSynopsis};
+pub use grid_route::{CellGrid, GridRouteError};
 pub use index::GridIndex;
 pub use quadtree::{QuadDomain, QuadNode, SplitConfig};
 pub use query::{RangeCountSynopsis, RangeQuery};

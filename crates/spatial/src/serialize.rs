@@ -16,16 +16,18 @@
 //! Children must appear after their parents (the arena order the builders
 //! produce), and each parent's children must be contiguous.
 //!
-//! A grid-routed release ([`crate::grid_route::GridRoutedSynopsis`])
-//! declares `sections=synopsis,grid` and appends a `privtree-grid v1`
-//! section after the node lines — per-cell anchors and exact
-//! contributions in row-major order — so the accelerator's precomputation
-//! ships with the release instead of being redone at load time
-//! ([`grid_routed_to_text`]/[`grid_routed_from_text`]; the summed-area
-//! table is rebuilt deterministically from the values, so a round trip
-//! answers bit-identically).
+//! A release that ships its [`crate::grid_route::CellGrid`] declares
+//! `sections=synopsis,grid` and appends a `privtree-grid v1` section
+//! after the node lines — per-cell anchors and exact contributions in
+//! row-major order — so the accelerator's precomputation ships with the
+//! release instead of being redone at load time (the summed-area table
+//! is rebuilt deterministically from the values, so a round trip answers
+//! bit-identically).
 //!
-//! Parsers accept files without a manifest (the pre-manifest v1 format);
+//! [`release_to_text`] and [`release_from_text`] are the one codec pair:
+//! an arena plus its optional grid in, the same pair out.
+//!
+//! The parser accepts files without a manifest (the pre-manifest v1 format);
 //! when a manifest is present, the declared and actual sections must
 //! agree. Every [`ParseError`] names the section it arose in and the
 //! 1-based line number within the whole file, so a corrupt byte in a
@@ -33,7 +35,7 @@
 
 use crate::frozen::FrozenSynopsis;
 use crate::geom::Rect;
-use crate::grid_route::{CellGrid, GridRoutedSynopsis};
+use crate::grid_route::CellGrid;
 use crate::query::RangeCountSynopsis;
 use crate::synopsis::SpatialSynopsis;
 use privtree_core::tree::{NodeId, Tree};
@@ -274,28 +276,6 @@ fn synopsis_section(synopsis: &SpatialSynopsis) -> String {
     out
 }
 
-/// Serialize a synopsis to the v1 text format (manifest + synopsis
-/// section).
-pub fn to_text(synopsis: &SpatialSynopsis) -> String {
-    let mut out = manifest_line(&[SYNOPSIS]);
-    out.push_str(&synopsis_section(synopsis));
-    out
-}
-
-/// Serialize a frozen synopsis: thaw to the tree view (lossless, same
-/// arena order) and emit the same v1 text format, so frozen and tree-walk
-/// releases interchange freely on disk.
-pub fn frozen_to_text(synopsis: &FrozenSynopsis) -> String {
-    to_text(&synopsis.thaw())
-}
-
-/// Parse the v1 text format directly into the read-optimized
-/// representation. A trailing grid section, if any, is ignored (use
-/// [`grid_routed_from_text`] to load it).
-pub fn frozen_from_text(text: &str) -> Result<FrozenSynopsis, ParseError> {
-    Ok(from_text(text)?.freeze())
-}
-
 /// The `privtree-grid v1` section (header + cell records) for `grid`.
 fn grid_section(grid: &CellGrid) -> String {
     let bins = grid
@@ -311,68 +291,44 @@ fn grid_section(grid: &CellGrid) -> String {
     out
 }
 
-/// Serialize a grid-routed release: a manifest declaring both sections,
-/// the synopsis text, then a `privtree-grid v1` section carrying every
-/// cell's anchor and exact contribution (17 significant digits, so values
-/// round-trip bit-exactly).
-pub fn grid_routed_to_text(synopsis: &GridRoutedSynopsis) -> String {
-    release_to_text(synopsis.frozen(), Some(synopsis.grid()))
-}
-
-/// Serialize an arena plus an optional shipped grid — the exact inverse
-/// of [`release_from_text`], so serving layers (and the binary-format
-/// converters in `privtree-store`) can write whichever shape they hold
-/// without wrapping it in an engine first.
+/// Serialize an arena plus an optional shipped grid: a manifest naming
+/// the sections present, the synopsis text (the arena thawed to its
+/// tree view, lossless and in arena order), then — with a grid — a
+/// `privtree-grid v1` section carrying every cell's anchor and exact
+/// contribution (17 significant digits, so values round-trip
+/// bit-exactly). The exact inverse of [`release_from_text`].
 pub fn release_to_text(arena: &FrozenSynopsis, grid: Option<&CellGrid>) -> String {
-    match grid {
-        None => frozen_to_text(arena),
-        Some(grid) => {
-            let mut out = manifest_line(&[SYNOPSIS, GRID]);
-            out.push_str(&synopsis_section(&arena.thaw()));
-            out.push_str(&grid_section(grid));
-            out
-        }
+    let mut out = match grid {
+        None => manifest_line(&[SYNOPSIS]),
+        Some(_) => manifest_line(&[SYNOPSIS, GRID]),
+    };
+    out.push_str(&synopsis_section(&arena.thaw()));
+    if let Some(grid) = grid {
+        out.push_str(&grid_section(grid));
     }
-}
-
-/// Parse a grid-routed release: the synopsis part is parsed as usual, the
-/// grid section is validated (cell count, anchors in range and covering
-/// their cells) and its summed-area table rebuilt deterministically, so
-/// the result answers bit-identically to the serialized engine.
-pub fn grid_routed_from_text(text: &str) -> Result<GridRoutedSynopsis, ParseError> {
-    let sections = split_sections(text)?;
-    if sections.grid.is_none() {
-        return Err(ParseError::MissingSection {
-            section: GRID,
-            reason: "no privtree-grid header in input".into(),
-        });
-    }
-    let (frozen, grid) = parse_gridded(&sections)?;
-    Ok(GridRoutedSynopsis::from_prebuilt(frozen, grid))
+    out
 }
 
 /// Parse a release in a single pass, whatever sections it carries: the
 /// frozen arena plus the shipped [`CellGrid`] when a grid section is
-/// present (`None` otherwise). This is the loader for serving layers
-/// that accept both plain and grid-routed files — no second scan to
-/// probe for the grid.
+/// present (`None` otherwise). A grid section is validated (cell count,
+/// anchors in range and covering their cells) and its tables rebuilt
+/// deterministically, so the result answers bit-identically to the
+/// release that was written.
 pub fn release_from_text(text: &str) -> Result<(FrozenSynopsis, Option<CellGrid>), ParseError> {
     let sections = split_sections(text)?;
-    if sections.grid.is_none() {
-        return Ok((parse_synopsis(&sections)?.freeze(), None));
-    }
-    let (frozen, grid) = parse_gridded(&sections)?;
-    Ok((frozen, Some(grid)))
+    let frozen = parse_synopsis(&sections)?.freeze();
+    let grid = match &sections.grid {
+        Some(section) => Some(parse_grid(&frozen, section)?),
+        None => None,
+    };
+    Ok((frozen, grid))
 }
 
-/// Parse the synopsis + grid sections of an already-split file (the grid
-/// section must be present).
-fn parse_gridded(sections: &Sections<'_>) -> Result<(FrozenSynopsis, CellGrid), ParseError> {
-    let ((header_line, header), records) = sections
-        .grid
-        .as_ref()
-        .expect("parse_gridded requires a grid section");
-    let frozen = parse_synopsis(sections)?.freeze();
+/// Parse a grid section (header + cell records) against the arena it
+/// ships with.
+fn parse_grid(frozen: &FrozenSynopsis, section: &SectionLines<'_>) -> Result<CellGrid, ParseError> {
+    let ((header_line, header), records) = section;
     let header_line = *header_line;
     let bins: Vec<usize> = header
         .split_whitespace()
@@ -431,20 +387,11 @@ fn parse_gridded(sections: &Sections<'_>) -> Result<(FrozenSynopsis, CellGrid), 
             found: anchors.len(),
         });
     }
-    let grid = CellGrid::from_parts(&frozen, &bins, anchors, values).map_err(|e| {
-        ParseError::BadRecord {
-            section: GRID,
-            line: header_line,
-            reason: e.to_string(),
-        }
-    })?;
-    Ok((frozen, grid))
-}
-
-/// Parse the v1 text format back into a synopsis. A trailing grid
-/// section, if any, is ignored.
-pub fn from_text(text: &str) -> Result<SpatialSynopsis, ParseError> {
-    parse_synopsis(&split_sections(text)?)
+    CellGrid::from_parts(frozen, &bins, anchors, values).map_err(|e| ParseError::BadRecord {
+        section: GRID,
+        line: header_line,
+        reason: e.to_string(),
+    })
 }
 
 /// Parse the synopsis section of an already-split file.
@@ -580,6 +527,7 @@ mod tests {
     use crate::dataset::PointSet;
     use crate::quadtree::SplitConfig;
     use crate::query::{RangeCountSynopsis, RangeQuery};
+    use crate::sharded::{ShardHandle, ShardedSynopsis};
     use crate::synopsis::privtree_synopsis;
     use privtree_dp::budget::Epsilon;
     use privtree_dp::rng::seeded;
@@ -601,11 +549,29 @@ mod tests {
         .unwrap()
     }
 
+    /// `syn` written without a grid section.
+    fn plain_text(syn: &SpatialSynopsis) -> String {
+        release_to_text(&syn.freeze(), None)
+    }
+
+    /// A grid of `bins` over `frozen`, built on the shared pool.
+    fn build_grid(frozen: &FrozenSynopsis, bins: &[usize]) -> CellGrid {
+        CellGrid::build(frozen, bins, Some(privtree_runtime::global())).unwrap()
+    }
+
+    /// `frozen` and its grid served the way the engine serves them: one
+    /// gridded shard.
+    fn served(frozen: &FrozenSynopsis, grid: &CellGrid) -> ShardedSynopsis {
+        let handle = ShardHandle::from_release(frozen.clone(), Some(grid.clone()));
+        ShardedSynopsis::from_handles(vec![handle]).unwrap()
+    }
+
     #[test]
     fn round_trip_preserves_answers() {
         let syn = sample_synopsis();
-        let text = to_text(&syn);
-        let back = from_text(&text).unwrap();
+        let text = plain_text(&syn);
+        let (back, grid) = release_from_text(&text).unwrap();
+        assert!(grid.is_none());
         assert_eq!(back.node_count(), syn.node_count());
         for q in [
             Rect::new(&[0.0, 0.0], &[0.3, 0.3]),
@@ -623,7 +589,7 @@ mod tests {
 
     #[test]
     fn header_is_self_describing() {
-        let text = to_text(&sample_synopsis());
+        let text = plain_text(&sample_synopsis());
         let mut lines = text.lines();
         let manifest = lines.next().unwrap();
         assert_eq!(manifest, "privtree-manifest v1 sections=synopsis");
@@ -635,23 +601,23 @@ mod tests {
     #[test]
     fn manifestless_input_still_parses() {
         // the pre-manifest v1 format: synopsis header first
-        let text = to_text(&sample_synopsis());
+        let text = plain_text(&sample_synopsis());
         let without: String = text.lines().skip(1).fold(String::new(), |mut acc, l| {
             acc.push_str(l);
             acc.push('\n');
             acc
         });
-        let back = from_text(&without).unwrap();
+        let (back, _) = release_from_text(&without).unwrap();
         assert_eq!(back.node_count(), sample_synopsis().node_count());
     }
 
     #[test]
     fn manifest_must_match_sections() {
-        let text = to_text(&sample_synopsis());
+        let text = plain_text(&sample_synopsis());
         // declare a grid that is not there
         let lying = text.replacen("sections=synopsis", "sections=synopsis,grid", 1);
         assert!(matches!(
-            from_text(&lying),
+            release_from_text(&lying),
             Err(ParseError::MissingSection {
                 section: "grid",
                 ..
@@ -660,7 +626,7 @@ mod tests {
         // unknown section name
         let unknown = text.replacen("sections=synopsis", "sections=synopsis,bogus", 1);
         assert!(matches!(
-            from_text(&unknown),
+            release_from_text(&unknown),
             Err(ParseError::BadHeader {
                 section: "manifest",
                 line: 1,
@@ -672,14 +638,14 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         assert!(matches!(
-            from_text(""),
+            release_from_text(""),
             Err(ParseError::MissingSection {
                 section: "synopsis",
                 ..
             })
         ));
         assert!(matches!(
-            from_text("not a synopsis\n"),
+            release_from_text("not a synopsis\n"),
             Err(ParseError::BadHeader {
                 section: "synopsis",
                 line: 1,
@@ -688,7 +654,7 @@ mod tests {
         ));
         let bad_body =
             "privtree-synopsis v1 dims=2 nodes=2\nnode 0 parent=- lo=0,0 hi=1,1 count=5\n";
-        match from_text(bad_body) {
+        match release_from_text(bad_body) {
             Err(ParseError::CountMismatch {
                 section: "synopsis",
                 line: 1,
@@ -705,7 +671,7 @@ mod tests {
                     privtree-synopsis v1 dims=2 nodes=2\n\
                     node 0 parent=- lo=0,0 hi=1,1 count=5\n\
                     node 1 parent=0 lo=0,zz hi=1,1 count=5\n";
-        match from_text(text) {
+        match release_from_text(text) {
             Err(ParseError::BadRecord {
                 section: "synopsis",
                 line: 4,
@@ -714,18 +680,17 @@ mod tests {
             other => panic!("expected a localized record error, got {other:?}"),
         }
         assert_eq!(
-            from_text(text).unwrap_err().to_string(),
+            release_from_text(text).unwrap_err().to_string(),
             "bad synopsis record at line 4: bad coordinate zz"
         );
     }
 
     #[test]
     fn frozen_round_trip_preserves_answers() {
-        let syn = sample_synopsis();
-        let frozen = syn.freeze();
-        let text = frozen_to_text(&frozen);
-        assert_eq!(text, to_text(&syn), "frozen and tree-walk emit one format");
-        let back = frozen_from_text(&text).unwrap();
+        let frozen = sample_synopsis().freeze();
+        let text = release_to_text(&frozen, None);
+        let (back, grid) = release_from_text(&text).unwrap();
+        assert!(grid.is_none());
         assert_eq!(back.node_count(), frozen.node_count());
         let q = RangeQuery::new(Rect::new(&[0.05, 0.1], &[0.4, 0.33]));
         assert!((back.answer(&q) - frozen.answer(&q)).abs() < 1e-9);
@@ -733,15 +698,16 @@ mod tests {
 
     #[test]
     fn grid_routed_round_trip_is_bit_exact() {
-        use crate::grid_route::GridRoutedSynopsis;
         let frozen = sample_synopsis().freeze();
-        let grid = GridRoutedSynopsis::with_bins(frozen, &[9, 7]).unwrap();
-        let text = grid_routed_to_text(&grid);
+        let grid = build_grid(&frozen, &[9, 7]);
+        let text = release_to_text(&frozen, Some(&grid));
         assert!(text.starts_with("privtree-manifest v1 sections=synopsis,grid\n"));
         assert!(text.contains("privtree-grid v1 bins=9,7"));
-        let back = grid_routed_from_text(&text).unwrap();
-        assert_eq!(back.grid().bins(), grid.grid().bins());
-        assert_eq!(back.grid().anchors(), grid.grid().anchors());
+        let (arena, back) = release_from_text(&text).unwrap();
+        let back = back.expect("grid section shipped");
+        assert_eq!(back.bins(), grid.bins());
+        assert_eq!(back.anchors(), grid.anchors());
+        let (sent, received) = (served(&frozen, &grid), served(&arena, &back));
         let mut rng = seeded(40);
         for _ in 0..100 {
             let a: f64 = rng.random();
@@ -750,8 +716,8 @@ mod tests {
             let d: f64 = rng.random();
             let q = RangeQuery::new(Rect::new(&[a.min(b), c.min(d)], &[a.max(b), c.max(d)]));
             assert_eq!(
-                grid.answer(&q).to_bits(),
-                back.answer(&q).to_bits(),
+                sent.answer(&q).to_bits(),
+                received.answer(&q).to_bits(),
                 "round-tripped grid diverged on {}",
                 q.rect
             );
@@ -760,47 +726,24 @@ mod tests {
 
     #[test]
     fn release_from_text_loads_both_shapes_in_one_pass() {
-        use crate::grid_route::GridRoutedSynopsis;
         let frozen = sample_synopsis().freeze();
         // a plain file: arena, no grid
-        let (plain, grid) = release_from_text(&frozen_to_text(&frozen)).unwrap();
+        let (plain, grid) = release_from_text(&release_to_text(&frozen, None)).unwrap();
         assert!(grid.is_none());
         assert_eq!(plain.node_count(), frozen.node_count());
         // a gridded file: arena plus the shipped grid, bit-exact
-        let engine = GridRoutedSynopsis::with_bins(frozen, &[6, 4]).unwrap();
-        let (arena, grid) = release_from_text(&grid_routed_to_text(&engine)).unwrap();
+        let shipped = build_grid(&frozen, &[6, 4]);
+        let (arena, grid) = release_from_text(&release_to_text(&frozen, Some(&shipped))).unwrap();
         let grid = grid.expect("grid section shipped");
-        assert_eq!(grid.bins(), engine.grid().bins());
-        assert_eq!(grid.anchors(), engine.grid().anchors());
-        assert_eq!(arena.node_count(), engine.frozen().node_count());
-    }
-
-    #[test]
-    fn frozen_parse_ignores_a_trailing_grid_section() {
-        use crate::grid_route::GridRoutedSynopsis;
-        let frozen = sample_synopsis().freeze();
-        let grid = GridRoutedSynopsis::with_bins(frozen.clone(), &[5, 5]).unwrap();
-        let text = grid_routed_to_text(&grid);
-        let back = frozen_from_text(&text).unwrap();
-        assert_eq!(back.node_count(), frozen.node_count());
-        let q = RangeQuery::new(Rect::new(&[0.1, 0.1], &[0.3, 0.2]));
-        assert_eq!(back.answer(&q).to_bits(), frozen.answer(&q).to_bits());
+        assert_eq!(grid.bins(), shipped.bins());
+        assert_eq!(grid.anchors(), shipped.anchors());
+        assert_eq!(arena.node_count(), frozen.node_count());
     }
 
     #[test]
     fn grid_section_is_validated() {
-        use crate::grid_route::GridRoutedSynopsis;
         let frozen = sample_synopsis().freeze();
-        let grid = GridRoutedSynopsis::with_bins(frozen, &[3, 3]).unwrap();
-        let text = grid_routed_to_text(&grid);
-        // no grid section at all
-        assert!(matches!(
-            grid_routed_from_text(&to_text(&sample_synopsis())),
-            Err(ParseError::MissingSection {
-                section: "grid",
-                ..
-            })
-        ));
+        let text = release_to_text(&frozen, Some(&build_grid(&frozen, &[3, 3])));
         // truncated cell list: the mismatch is reported against the grid
         // header's line
         let truncated =
@@ -811,7 +754,7 @@ mod tests {
                     acc.push('\n');
                     acc
                 });
-        match grid_routed_from_text(&truncated) {
+        match release_from_text(&truncated) {
             Err(ParseError::CountMismatch {
                 section: "grid",
                 expected: 9,
@@ -823,7 +766,7 @@ mod tests {
         // an anchor that is out of range (or unparseable once mangled)
         let corrupted = text.replacen("anchor=", "anchor=999999", 1);
         assert!(matches!(
-            grid_routed_from_text(&corrupted),
+            release_from_text(&corrupted),
             Err(ParseError::BadRecord {
                 section: "grid",
                 ..
@@ -835,7 +778,7 @@ mod tests {
     fn single_node_synopsis() {
         let tree = privtree_core::tree::Tree::with_root(Rect::unit(2));
         let syn = SpatialSynopsis::from_parts(tree, vec![42.0], "tiny");
-        let back = from_text(&to_text(&syn)).unwrap();
+        let (back, _) = release_from_text(&plain_text(&syn)).unwrap();
         let q = RangeQuery::new(Rect::unit(2));
         assert_eq!(back.answer(&q), 42.0);
     }

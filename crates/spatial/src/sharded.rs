@@ -42,13 +42,14 @@
 //! [`FrozenSynopsis::answer_batch`], with a pair of per-chunk traversal
 //! stacks ([`ShardedSynopsis::answer_batch_with_pool`]).
 //!
-//! Shard descents can additionally be **grid-routed**
-//! ([`ShardedSynopsis::with_shard_grids`]): each shard arena gets its own
-//! [`crate::grid_route::CellGrid`], so the heavy part of a query — the
-//! walk inside the shard the query lands on — resolves through
+//! Shard descents can additionally be **grid-routed**: a handle that
+//! carries a [`crate::grid_route::CellGrid`] ([`ShardHandle::from_release`],
+//! [`ShardedSynopsis::with_shard_grids`]) resolves the heavy part of a
+//! query — the walk inside the shard the query lands on — through
 //! summed-area interior lookups, face-table lookups for the boundary
 //! shell, and anchored walks where a shell cell's anchor is internal or
-//! the cell is cut along two or more dimensions.
+//! the cell is cut along two or more dimensions. This is the one gridded
+//! engine: a single release is served gridded as a one-shard synopsis.
 //! Grid-routed shard answers match the plain descent to float
 //! reassociation error (≤ 1e-9 relative; the bit-identity pin applies to
 //! the *ungridded* configuration).
@@ -59,7 +60,7 @@ use privtree_runtime::WorkerPool;
 
 use crate::frozen::{auto_batch, dispatch_batch, with_query_scratch, FrozenSynopsis, Overlap};
 use crate::geom::Rect;
-use crate::grid_route::{CellGrid, GridRouteError, GridRoutedSynopsis};
+use crate::grid_route::{CellGrid, GridRouteError};
 use crate::query::{RangeCountSynopsis, RangeQuery};
 
 /// Sentinel in `shard_ref` for top nodes not backed by a shard.
@@ -130,9 +131,8 @@ impl ShardHandle {
     /// the one constructor every deserialization path (text, binary,
     /// catalog) funnels through. The pairing is trusted: a grid built
     /// for a different arena answers garbage, so only pass a grid built
-    /// for this arena or validated against it by
-    /// [`CellGrid::from_parts`] (every loader does) — e.g. via
-    /// [`GridRoutedSynopsis::into_parts`].
+    /// for this arena ([`CellGrid::build`]) or validated against it by
+    /// [`CellGrid::from_parts`] (every loader does).
     pub fn from_release(arena: FrozenSynopsis, grid: Option<CellGrid>) -> Self {
         Self {
             arena: Arc::new(arena),
@@ -157,7 +157,7 @@ impl ShardHandle {
         if self.grid.is_some() {
             return Ok(false);
         }
-        let bins = GridRoutedSynopsis::default_bins(&self.arena);
+        let bins = CellGrid::default_bins(&self.arena);
         self.grid = Some(Arc::new(CellGrid::build(&self.arena, &bins, pool)?));
         Ok(true)
     }

@@ -95,7 +95,7 @@ use privtree_spatial::sharded::ShardHandle;
 use privtree_spatial::StableBytes;
 
 use crate::format::{crc32, decode_release, encode_release, MAGIC};
-use crate::journal::{self, FsyncPolicy, Journal, JournalMetrics, JournalOp};
+use crate::journal::{self, FsyncPolicy, Journal, JournalMetrics, JournalOp, MAX_STRING_BYTES};
 use crate::view::{open_release_view, ReleaseBytes};
 use crate::StoreError;
 use privtree_runtime::telemetry::{Counter, Registry};
@@ -689,7 +689,9 @@ impl Catalog {
     /// file atomically, then record the new generation (journal append
     /// when journaling, manifest rewrite otherwise). An existing entry
     /// for `key` is superseded; its file is retained or unlinked per
-    /// the retention policy.
+    /// the retention policy. A key longer than a journal record carries
+    /// is refused with [`StoreError::KeyTooLong`] in every mode (the
+    /// journal can be enabled later).
     pub fn save(
         &mut self,
         key: &str,
@@ -708,7 +710,8 @@ impl Catalog {
     /// they decode cleanly first (so the catalog can never point at a
     /// file its own loader rejects). This is how externally produced
     /// releases — e.g. a text release converted with
-    /// [`crate::text_to_binary`] — enter a catalog.
+    /// [`crate::text_to_binary`] — enter a catalog. Keys are refused as
+    /// in [`Catalog::save`].
     pub fn import(
         &mut self,
         key: &str,
@@ -827,6 +830,9 @@ impl Catalog {
         bytes: &[u8],
         format: ReleaseFormat,
     ) -> Result<CatalogEntry, StoreError> {
+        if key.len() > MAX_STRING_BYTES {
+            return Err(StoreError::KeyTooLong { bytes: key.len() });
+        }
         let checksum = crc32(bytes);
         let generation = self.next_generation(key);
         let file = format!(
@@ -1568,6 +1574,58 @@ mod tests {
         assert_eq!(reopened.replayed_ops(), 0, "manifest covers everything");
         assert_eq!(reopened.checkpoint_seq(), 5);
         assert_eq!(reopened.keys().collect::<Vec<_>>(), ["west"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn keys_replay_whole_or_are_refused() {
+        let dir =
+            std::env::temp_dir().join(format!("privtree-catalog-longkey-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let tree = privtree_core::tree::Tree::with_root(privtree_spatial::Rect::unit(2));
+        let release = FrozenSynopsis::from_tree(&tree, &[1.0], "leaf");
+        let save =
+            |cat: &mut Catalog, key: &str| cat.save(key, &release, None, ReleaseFormat::Binary);
+        let files = || std::fs::read_dir(&dir).unwrap().count();
+        let mut cat = Catalog::open_or_create(&dir).unwrap();
+        // refused before any file is written, whether or not the
+        // catalog journals yet
+        let long = "k".repeat(70_000);
+        for journaled in [false, true] {
+            if journaled {
+                cat.enable_journal(FsyncPolicy::Always).unwrap();
+            }
+            let present = files();
+            assert_eq!(
+                save(&mut cat, &long).unwrap_err(),
+                StoreError::KeyTooLong { bytes: 70_000 }
+            );
+            let bytes = encode_release(&release, None);
+            assert_eq!(
+                cat.import(&long, &bytes, ReleaseFormat::Binary)
+                    .unwrap_err(),
+                StoreError::KeyTooLong { bytes: 70_000 }
+            );
+            assert_eq!(files(), present, "journaled = {journaled}");
+        }
+        // cut at 65,535 bytes this key would split its last "é" and
+        // tear the record, and replay would drop the acked save after it
+        save(&mut cat, "before").unwrap();
+        assert_eq!(
+            save(&mut cat, &"é".repeat(32_768)).unwrap_err(),
+            StoreError::KeyTooLong { bytes: 65_536 }
+        );
+        save(&mut cat, "after").unwrap();
+        let longest = "k".repeat(MAX_STRING_BYTES);
+        save(&mut cat, &longest).unwrap();
+        drop(cat);
+        let reopened = Catalog::open(&dir).unwrap();
+        assert_eq!(reopened.replayed_ops(), 3);
+        assert_eq!(
+            reopened.keys().collect::<Vec<_>>(),
+            ["after", "before", longest.as_str()]
+        );
+        assert_eq!(reopened.load(&longest).unwrap().0.counts(), &[1.0]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

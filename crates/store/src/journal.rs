@@ -30,7 +30,8 @@
 //!
 //! Op codes: `1` add, `2` swap (both carry generation `u64`, checksum
 //! `u32`, format `u8`, then length-prefixed key and file name), `3`
-//! retire (length-prefixed key), `4` checkpoint (empty payload).
+//! retire (length-prefixed key), `4` checkpoint (empty payload). Length
+//! prefixes are `u16`: a longer string is refused, never cut.
 //!
 //! # Torn-tail truncation
 //!
@@ -214,14 +215,23 @@ fn format_from_code(code: u8) -> Option<ReleaseFormat> {
     }
 }
 
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    let len = s.len().min(u16::MAX as usize) as u16;
+/// Longest key or file name a record can carry: its length prefix is a
+/// `u16`.
+pub const MAX_STRING_BYTES: usize = u16::MAX as usize;
+
+/// Append `s` behind its `u16` length prefix; `None` when `s` is longer
+/// than [`MAX_STRING_BYTES`] (cutting it would replay a different key,
+/// or split a UTF-8 character and tear the record).
+fn push_str(out: &mut Vec<u8>, s: &str) -> Option<()> {
+    let len = u16::try_from(s.len()).ok()?;
     out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&s.as_bytes()[..len as usize]);
+    out.extend_from_slice(s.as_bytes());
+    Some(())
 }
 
-/// Encode one record body (`seq | op | payload`), without framing.
-fn encode_body(seq: u64, op: &JournalOp) -> Vec<u8> {
+/// Encode one record body (`seq | op | payload`), without framing;
+/// `None` when a string does not fit its length prefix.
+fn encode_body(seq: u64, op: &JournalOp) -> Option<Vec<u8>> {
     let mut body = Vec::with_capacity(64);
     body.extend_from_slice(&seq.to_le_bytes());
     match op {
@@ -247,26 +257,27 @@ fn encode_body(seq: u64, op: &JournalOp) -> Vec<u8> {
             body.extend_from_slice(&generation.to_le_bytes());
             body.extend_from_slice(&checksum.to_le_bytes());
             body.push(format_code(*format));
-            push_str(&mut body, key);
-            push_str(&mut body, file);
+            push_str(&mut body, key)?;
+            push_str(&mut body, file)?;
         }
         JournalOp::Retire { key } => {
             body.push(3);
-            push_str(&mut body, key);
+            push_str(&mut body, key)?;
         }
         JournalOp::Checkpoint => body.push(4),
     }
-    body
+    Some(body)
 }
 
-/// Frame one record: length prefix, body, CRC-32.
-fn encode_record(seq: u64, op: &JournalOp) -> Vec<u8> {
-    let body = encode_body(seq, op);
+/// Frame one record: length prefix, body, CRC-32; `None` as for
+/// [`encode_body`].
+fn encode_record(seq: u64, op: &JournalOp) -> Option<Vec<u8>> {
+    let body = encode_body(seq, op)?;
     let mut rec = Vec::with_capacity(body.len() + 8);
     rec.extend_from_slice(&(body.len() as u32).to_le_bytes());
     rec.extend_from_slice(&body);
     rec.extend_from_slice(&crc32(&body).to_le_bytes());
-    rec
+    Some(rec)
 }
 
 /// A strict little-endian cursor over one record body; any overrun or
@@ -543,10 +554,12 @@ impl Journal {
     }
 
     /// Append one record and make it durable per the fsync policy.
-    /// Returns the record's sequence number. On an append **error** the
-    /// file is rolled back to the previous record boundary, so a retry
-    /// re-appends the same sequence number; an injected **crash**
-    /// leaves the torn bytes for the next open's truncation.
+    /// Returns the record's sequence number. An op whose key or file
+    /// name is longer than [`MAX_STRING_BYTES`] is refused before
+    /// anything is written. On an append **error** the file is rolled
+    /// back to the previous record boundary, so a retry re-appends the
+    /// same sequence number; an injected **crash** leaves the torn bytes
+    /// for the next open's truncation.
     pub fn append(&mut self, op: &JournalOp) -> Result<u64, StoreError> {
         if self.wedged {
             return Err(journal_error(
@@ -555,7 +568,12 @@ impl Journal {
             ));
         }
         let seq = self.next_seq;
-        let record = encode_record(seq, op);
+        let record = encode_record(seq, op).ok_or_else(|| {
+            journal_error(
+                &self.path,
+                format!("a key or file name exceeds the record's {MAX_STRING_BYTES}-byte limit"),
+            )
+        })?;
         let clocked = self.metrics.is_some() && telemetry::enabled();
         let append_start = clocked.then(Instant::now);
         if let Err(f) = fail_point("journal.append", "write") {
@@ -733,7 +751,7 @@ mod tests {
         drop(journal);
         let intact = std::fs::metadata(&path).unwrap().len();
         // a dying appender: half a record past the intact prefix
-        let torn = encode_record(3, &sample_ops()[2]);
+        let torn = encode_record(3, &sample_ops()[2]).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(&torn[..torn.len() / 2]);
         std::fs::write(&path, &bytes).unwrap();
@@ -760,7 +778,7 @@ mod tests {
         let clean = std::fs::read(&path).unwrap();
         // flip one byte inside the second record's body: records 2..
         // are untrusted from there on
-        let second_start = JOURNAL_HEADER_LEN + 8 + encode_body(1, &sample_ops()[0]).len();
+        let second_start = JOURNAL_HEADER_LEN + 8 + encode_body(1, &sample_ops()[0]).unwrap().len();
         let mut bytes = clean.clone();
         bytes[second_start + 6] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
@@ -775,10 +793,37 @@ mod tests {
         // a skipped sequence number is equally untrusted
         std::fs::write(&path, &clean).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes.extend_from_slice(&encode_record(9, &JournalOp::Checkpoint));
+        bytes.extend_from_slice(&encode_record(9, &JournalOp::Checkpoint).unwrap());
         std::fs::write(&path, &bytes).unwrap();
         let (_, records) = Journal::open(&path, 0, FsyncPolicy::Always).unwrap();
         assert_eq!(records.len(), 4, "seq 9 after 4 does not replay");
+    }
+
+    #[test]
+    fn oversized_strings_are_refused_before_writing() {
+        let dir = TempDir::new("oversized");
+        let path = dir.0.join(segment_name(0));
+        let mut journal = Journal::create(&path, 0, FsyncPolicy::Always).unwrap();
+        let retire = |len: usize| JournalOp::Retire {
+            key: "k".repeat(len),
+        };
+        assert!(matches!(
+            journal.append(&retire(MAX_STRING_BYTES + 1)),
+            Err(StoreError::Journal { .. })
+        ));
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            JOURNAL_HEADER_LEN as u64,
+            "a refused record writes nothing"
+        );
+        // the longest key that fits replays intact, at the next sequence
+        assert_eq!(journal.append(&retire(MAX_STRING_BYTES)).unwrap(), 1);
+        drop(journal);
+        let (_, records) = Journal::open(&path, 0, FsyncPolicy::Always).unwrap();
+        assert_eq!(
+            records.into_iter().map(|r| r.op).collect::<Vec<_>>(),
+            [retire(MAX_STRING_BYTES)]
+        );
     }
 
     #[test]

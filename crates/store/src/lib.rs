@@ -122,6 +122,10 @@ pub enum StoreError {
     Journal { context: String, reason: String },
     /// The catalog holds no release under this key.
     UnknownKey { key: String },
+    /// A release key longer than a journal record can carry
+    /// ([`journal::MAX_STRING_BYTES`]); refused before any file is
+    /// written, journaling or not.
+    KeyTooLong { bytes: usize },
 }
 
 impl std::fmt::Display for StoreError {
@@ -161,6 +165,11 @@ impl std::fmt::Display for StoreError {
                 write!(f, "journal {context}: {reason}")
             }
             StoreError::UnknownKey { key } => write!(f, "catalog has no release named {key}"),
+            StoreError::KeyTooLong { bytes } => write!(
+                f,
+                "release key is {bytes} bytes; the limit is {}",
+                journal::MAX_STRING_BYTES
+            ),
         }
     }
 }

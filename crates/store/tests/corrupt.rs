@@ -14,7 +14,7 @@ use privtree_dp::budget::Epsilon;
 use privtree_dp::rng::seeded;
 use privtree_spatial::dataset::PointSet;
 use privtree_spatial::geom::Rect;
-use privtree_spatial::grid_route::GridRoutedSynopsis;
+use privtree_spatial::grid_route::CellGrid;
 use privtree_spatial::quadtree::SplitConfig;
 use privtree_spatial::{FrozenSynopsis, StableBytes};
 use privtree_store::{
@@ -46,8 +46,8 @@ fn plain_bytes() -> Vec<u8> {
 
 /// A valid binary release with a grid.
 fn gridded_bytes() -> Vec<u8> {
-    let engine = GridRoutedSynopsis::with_bins(sample_release(4), &[6, 5]).unwrap();
-    let (arena, grid) = engine.into_parts();
+    let arena = sample_release(4);
+    let grid = CellGrid::build(&arena, &[6, 5], Some(privtree_runtime::global())).unwrap();
     encode_release(&arena, Some(&grid))
 }
 
@@ -319,8 +319,8 @@ fn consistent_checksums_do_not_bless_bad_layouts() {
 
     // and a grid whose anchors were re-checksummed after corruption must
     // fail grid validation, not checksum validation
-    let engine = GridRoutedSynopsis::with_bins(sample_release(10), &[4, 4]).unwrap();
-    let (garena, grid) = engine.into_parts();
+    let garena = sample_release(10);
+    let grid = CellGrid::build(&garena, &[4, 4], Some(privtree_runtime::global())).unwrap();
     let gbytes = encode_release(&garena, Some(&grid));
     let ga = section(&gbytes, "GANC");
     let mut gbad = gbytes.clone();

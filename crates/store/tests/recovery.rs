@@ -9,7 +9,7 @@ use privtree_dp::budget::Epsilon;
 use privtree_dp::rng::seeded;
 use privtree_spatial::dataset::PointSet;
 use privtree_spatial::geom::Rect;
-use privtree_spatial::grid_route::GridRoutedSynopsis;
+use privtree_spatial::grid_route::CellGrid;
 use privtree_spatial::quadtree::SplitConfig;
 use privtree_spatial::FrozenSynopsis;
 use privtree_store::{Catalog, FsyncPolicy, ReleaseFormat, StoreError};
@@ -58,9 +58,9 @@ fn bits(counts: &[f64]) -> Vec<u64> {
 /// every section CRC and the manifest checksum are valid, but the grid
 /// does not fit the arena it ships with.
 fn save_with_foreign_grid(catalog: &mut Catalog, key: &str) {
-    let (_, grid) = GridRoutedSynopsis::build(sample_release(55, 2_000))
-        .unwrap()
-        .into_parts();
+    let larger = sample_release(55, 2_000);
+    let bins = CellGrid::default_bins(&larger);
+    let grid = CellGrid::build(&larger, &bins, Some(privtree_runtime::global())).unwrap();
     catalog
         .save(
             key,

@@ -9,10 +9,11 @@ use privtree_dp::budget::Epsilon;
 use privtree_dp::rng::seeded;
 use privtree_spatial::dataset::PointSet;
 use privtree_spatial::geom::Rect;
-use privtree_spatial::grid_route::GridRoutedSynopsis;
+use privtree_spatial::grid_route::CellGrid;
 use privtree_spatial::quadtree::SplitConfig;
 use privtree_spatial::query::{RangeCountSynopsis, RangeQuery};
 use privtree_spatial::serialize::{release_from_text, release_to_text};
+use privtree_spatial::sharded::{ShardHandle, ShardedSynopsis};
 use privtree_spatial::FrozenSynopsis;
 use privtree_store::{
     binary_to_text, decode_release, encode_release, text_to_binary, Catalog, ReleaseFormat,
@@ -36,6 +37,18 @@ fn sample_release(seed: u64, points: usize) -> FrozenSynopsis {
     )
     .unwrap()
     .freeze()
+}
+
+/// A grid of `bins` over `arena`, built on the shared pool.
+fn build_grid(arena: &FrozenSynopsis, bins: &[usize]) -> CellGrid {
+    CellGrid::build(arena, bins, Some(privtree_runtime::global())).unwrap()
+}
+
+/// `arena` and `grid` served the way the engine serves them: one
+/// gridded shard.
+fn served(arena: &FrozenSynopsis, grid: &CellGrid) -> ShardedSynopsis {
+    let handle = ShardHandle::from_release(arena.clone(), Some(grid.clone()));
+    ShardedSynopsis::from_handles(vec![handle]).unwrap()
 }
 
 fn workload(n: usize, seed: u64) -> Vec<RangeQuery> {
@@ -63,9 +76,8 @@ proptest! {
     ) {
         let frozen = sample_release(seed, points);
         let text = if gridded == 1 {
-            let engine = GridRoutedSynopsis::with_bins(frozen, &[bins, bins + 1]).unwrap();
-            let (arena, grid) = engine.into_parts();
-            release_to_text(&arena, Some(&grid))
+            let grid = build_grid(&frozen, &[bins, bins + 1]);
+            release_to_text(&frozen, Some(&grid))
         } else {
             release_to_text(&frozen, None)
         };
@@ -93,8 +105,8 @@ proptest! {
                     prop_assert_eq!(tg.bins(), bg.bins());
                     prop_assert_eq!(tg.anchors(), bg.anchors());
                     prop_assert_eq!(tg.values(), bg.values());
-                    let t = GridRoutedSynopsis::from_prebuilt(text_arena.clone(), tg.clone());
-                    let b = GridRoutedSynopsis::from_prebuilt(bin_arena.clone(), bg.clone());
+                    let t = served(&text_arena, tg);
+                    let b = served(&bin_arena, bg);
                     prop_assert_eq!(t.answer(q).to_bits(), b.answer(q).to_bits());
                 }
                 _ => {
@@ -122,9 +134,8 @@ proptest! {
     ) {
         let frozen = sample_release(seed, 400);
         let (arena, grid) = if gridded == 1 {
-            let engine = GridRoutedSynopsis::with_bins(frozen, &[5, 4]).unwrap();
-            let (a, g) = engine.into_parts();
-            (a, Some(g))
+            let grid = build_grid(&frozen, &[5, 4]);
+            (frozen, Some(grid))
         } else {
             (frozen, None)
         };

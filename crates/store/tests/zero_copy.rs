@@ -10,10 +10,11 @@ use privtree_dp::budget::Epsilon;
 use privtree_dp::rng::seeded;
 use privtree_spatial::dataset::PointSet;
 use privtree_spatial::geom::Rect;
-use privtree_spatial::grid_route::GridRoutedSynopsis;
+use privtree_spatial::grid_route::CellGrid;
 use privtree_spatial::quadtree::SplitConfig;
 use privtree_spatial::query::{RangeCountSynopsis, RangeQuery};
 use privtree_spatial::serialize::{release_from_text, release_to_text};
+use privtree_spatial::sharded::{ShardHandle, ShardedSynopsis};
 use privtree_spatial::{FrozenSynopsis, StableBytes};
 use privtree_store::{
     decode_release, encode_release, encode_release_unaligned, open_release_view, Catalog,
@@ -40,6 +41,18 @@ fn sample_release(seed: u64, points: usize) -> FrozenSynopsis {
     .freeze()
 }
 
+/// A grid of `bins` over `arena`, built on the shared pool.
+fn build_grid(arena: &FrozenSynopsis, bins: &[usize]) -> CellGrid {
+    CellGrid::build(arena, bins, Some(privtree_runtime::global())).unwrap()
+}
+
+/// `arena` and `grid` served the way the engine serves them: one
+/// gridded shard.
+fn served(arena: &FrozenSynopsis, grid: &CellGrid) -> ShardedSynopsis {
+    let handle = ShardHandle::from_release(arena.clone(), Some(grid.clone()));
+    ShardedSynopsis::from_handles(vec![handle]).unwrap()
+}
+
 fn workload(n: usize, seed: u64) -> Vec<RangeQuery> {
     let mut rng = seeded(seed);
     (0..n)
@@ -54,14 +67,8 @@ fn workload(n: usize, seed: u64) -> Vec<RangeQuery> {
 /// Assert two releases carry identical bits and answer identically.
 fn assert_release_eq(
     label: &str,
-    (a, ag): (
-        &FrozenSynopsis,
-        Option<&privtree_spatial::grid_route::CellGrid>,
-    ),
-    (b, bg): (
-        &FrozenSynopsis,
-        Option<&privtree_spatial::grid_route::CellGrid>,
-    ),
+    (a, ag): (&FrozenSynopsis, Option<&CellGrid>),
+    (b, bg): (&FrozenSynopsis, Option<&CellGrid>),
     queries: &[RangeQuery],
 ) {
     assert_eq!(a.dims(), b.dims(), "{label}: dims");
@@ -77,8 +84,8 @@ fn assert_release_eq(
                 assert_eq!(ag.bins(), bg.bins(), "{label}: bins");
                 assert_eq!(ag.anchors(), bg.anchors(), "{label}: anchors");
                 assert_eq!(ag.values(), bg.values(), "{label}: values");
-                let ra = GridRoutedSynopsis::from_prebuilt(a.clone(), ag.clone());
-                let rb = GridRoutedSynopsis::from_prebuilt(b.clone(), bg.clone());
+                let ra = served(a, ag);
+                let rb = served(b, bg);
                 assert_eq!(
                     ra.answer(q).to_bits(),
                     rb.answer(q).to_bits(),
@@ -109,9 +116,8 @@ proptest! {
     ) {
         let frozen = sample_release(seed, points);
         let (arena, grid) = if gridded == 1 {
-            let engine = GridRoutedSynopsis::with_bins(frozen, &[bins, bins + 1]).unwrap();
-            let (a, g) = engine.into_parts();
-            (a, Some(g))
+            let grid = build_grid(&frozen, &[bins, bins + 1]);
+            (frozen, Some(grid))
         } else {
             (frozen, None)
         };
@@ -164,9 +170,8 @@ proptest! {
     ) {
         let frozen = sample_release(seed, 400);
         let (arena, grid) = if gridded == 1 {
-            let engine = GridRoutedSynopsis::with_bins(frozen, &[5, 4]).unwrap();
-            let (a, g) = engine.into_parts();
-            (a, Some(g))
+            let grid = build_grid(&frozen, &[5, 4]);
+            (frozen, Some(grid))
         } else {
             (frozen, None)
         };
@@ -203,8 +208,8 @@ fn catalog_load_mapped_is_exact_and_reports_storage() {
     let _ = std::fs::remove_dir_all(&dir);
     let mut cat = Catalog::open_or_create(&dir).unwrap();
 
-    let engine = GridRoutedSynopsis::with_bins(sample_release(11, 600), &[6, 6]).unwrap();
-    let (arena, grid) = engine.into_parts();
+    let arena = sample_release(11, 600);
+    let grid = build_grid(&arena, &[6, 6]);
     cat.save("gridded", &arena, Some(&grid), ReleaseFormat::Binary)
         .unwrap();
     cat.save("plain", &sample_release(12, 300), None, ReleaseFormat::Text)

@@ -32,7 +32,7 @@ use privtree_suite::spatial::dataset::PointSet;
 use privtree_suite::spatial::geom::Rect;
 use privtree_suite::spatial::quadtree::SplitConfig;
 use privtree_suite::spatial::query::{RangeCountSynopsis, RangeQuery};
-use privtree_suite::spatial::serialize::frozen_to_text;
+use privtree_suite::spatial::serialize::release_to_text;
 use privtree_suite::spatial::synopsis::privtree_synopsis;
 use privtree_suite::spatial::FrozenSynopsis;
 use privtree_suite::store::Catalog;
@@ -136,7 +136,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    for key=path serving, or the whole catalog via --catalog (which
     //    also enables the save/load protocol verbs).
     let path = std::env::temp_dir().join("west-epoch0.txt");
-    std::fs::write(&path, frozen_to_text(&region_release(&data, west, 0)?))?;
+    std::fs::write(
+        &path,
+        release_to_text(&region_release(&data, west, 0)?, None),
+    )?;
     println!("\nwrote {}; try:", path.display());
     println!(
         "  printf 'count 0.1,0.1 0.4,0.9\\nstats\\nquit\\n' | \\\n    \

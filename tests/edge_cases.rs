@@ -13,7 +13,7 @@ use privtree_suite::spatial::dataset::PointSet;
 use privtree_suite::spatial::geom::Rect;
 use privtree_suite::spatial::quadtree::SplitConfig;
 use privtree_suite::spatial::query::{RangeCountSynopsis, RangeQuery};
-use privtree_suite::spatial::serialize::{from_text, to_text};
+use privtree_suite::spatial::serialize::{release_from_text, release_to_text};
 use privtree_suite::spatial::synopsis::privtree_synopsis;
 
 /// An empty dataset still yields a valid (if boring) ε-DP release.
@@ -48,7 +48,7 @@ fn single_point_dataset() {
     .unwrap();
     assert!(syn.answer(&RangeQuery::new(Rect::unit(2))).is_finite());
     // and serialization survives it
-    let back = from_text(&to_text(&syn)).unwrap();
+    let (back, _) = release_from_text(&release_to_text(&syn.freeze(), None)).unwrap();
     assert_eq!(back.node_count(), syn.node_count());
 }
 

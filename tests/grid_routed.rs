@@ -1,8 +1,10 @@
 //! Grid-routed serving invariants: the accelerator must be invisible.
 //!
-//! [`GridRoutedSynopsis`] answers with a summed-area interior block plus
-//! cell-anchored boundary-shell traversals. These tests pin the two
-//! contracts of `crates/spatial/src/grid_route.rs`:
+//! A shard carrying a [`CellGrid`] answers with a summed-area interior
+//! block plus cell-anchored boundary-shell traversals. Every engine here
+//! is the one the server runs: a release and its grid served as a
+//! one-shard [`ShardedSynopsis`]. These tests pin the two contracts of
+//! `crates/spatial/src/grid_route.rs`:
 //!
 //! * **whole answers** equal the plain frozen traversal to ≤ 1e-9
 //!   (relative), for every release, resolution (including 1×1 and
@@ -19,11 +21,11 @@ use privtree_suite::dp::rng::seeded;
 use privtree_suite::runtime::WorkerPool;
 use privtree_suite::spatial::dataset::PointSet;
 use privtree_suite::spatial::geom::Rect;
-use privtree_suite::spatial::grid_route::{CellGrid, GridRouteError, GridRoutedSynopsis};
+use privtree_suite::spatial::grid_route::{CellGrid, GridRouteError};
 use privtree_suite::spatial::quadtree::SplitConfig;
 use privtree_suite::spatial::query::{RangeCountSynopsis, RangeQuery};
-use privtree_suite::spatial::serialize::{grid_routed_from_text, grid_routed_to_text};
-use privtree_suite::spatial::sharded::ShardedSynopsis;
+use privtree_suite::spatial::serialize::{release_from_text, release_to_text};
+use privtree_suite::spatial::sharded::{ShardHandle, ShardedSynopsis};
 use privtree_suite::spatial::synopsis::{privtree_synopsis, simple_tree_synopsis};
 use privtree_suite::spatial::FrozenSynopsis;
 use proptest::prelude::*;
@@ -44,6 +46,18 @@ fn release(dims: usize, points: &PointSet, seed: u64) -> FrozenSynopsis {
     )
     .unwrap()
     .freeze()
+}
+
+/// `frozen` and `grid` served as the server serves a gridded release:
+/// one shard.
+fn one_shard(frozen: FrozenSynopsis, grid: CellGrid) -> ShardedSynopsis {
+    ShardedSynopsis::from_handles(vec![ShardHandle::from_release(frozen, Some(grid))]).unwrap()
+}
+
+/// [`one_shard`] with a grid of `bins` built on the shared pool.
+fn served(frozen: &FrozenSynopsis, bins: &[usize]) -> ShardedSynopsis {
+    let grid = CellGrid::build(frozen, bins, Some(privtree_suite::runtime::global())).unwrap();
+    one_shard(frozen.clone(), grid)
 }
 
 /// Queries from a flat pool, `2 * dims` values each; every third query is
@@ -68,7 +82,7 @@ fn workload(dims: usize, coords: &[f64]) -> Vec<RangeQuery> {
         .collect()
 }
 
-fn assert_close(frozen: &FrozenSynopsis, grid: &GridRoutedSynopsis, q: &RangeQuery) {
+fn assert_close(frozen: &FrozenSynopsis, grid: &ShardedSynopsis, q: &RangeQuery) {
     let a = frozen.answer(q);
     let b = grid.answer(q);
     let tol = 1e-9 * a.abs().max(1.0);
@@ -93,7 +107,7 @@ proptest! {
         bins_y in 1usize..96,
     ) {
         let frozen = release(2, &point_set(2, &coords), seed);
-        let grid = GridRoutedSynopsis::with_bins(frozen.clone(), &[bins_x, bins_y]).unwrap();
+        let grid = served(&frozen, &[bins_x, bins_y]);
         for q in workload(2, &qcoords) {
             let a = frozen.answer(&q);
             let b = grid.answer(&q);
@@ -149,7 +163,7 @@ proptest! {
         workers in 1usize..5,
     ) {
         let frozen = release(2, &point_set(2, &coords), seed);
-        let grid = GridRoutedSynopsis::build(frozen).unwrap();
+        let grid = served(&frozen, &CellGrid::default_bins(&frozen));
         let queries = workload(2, &qcoords);
         let reference: Vec<u64> = queries.iter().map(|q| grid.answer(q).to_bits()).collect();
         let check = |label: &str, got: Vec<f64>| {
@@ -183,7 +197,7 @@ fn three_and_four_dim_domains_match_frozen() {
             ps.push(&p);
         }
         let frozen = release(dims, &ps, 77 + dims as u64);
-        let grid = GridRoutedSynopsis::with_bins(frozen.clone(), &bins).unwrap();
+        let grid = served(&frozen, &bins);
         let mut rng = seeded(99 + dims as u64);
         for _ in 0..150 {
             let mut lo = Vec::with_capacity(dims);
@@ -210,8 +224,8 @@ fn three_and_four_dim_domains_match_frozen() {
 #[test]
 fn road_release_matches_frozen() {
     let frozen = release(2, &road_like(204_270, 0xda7a), 401);
-    let grid = GridRoutedSynopsis::build(frozen.clone()).unwrap();
-    assert_eq!(grid.grid().bins(), &[256, 256]);
+    let grid = served(&frozen, &CellGrid::default_bins(&frozen));
+    assert_eq!(grid.shard_grids().unwrap()[0].bins(), &[256, 256]);
     for size in QuerySize::all() {
         for q in range_queries(&Rect::unit(2), size, 1000, 17) {
             assert_close(&frozen, &grid, &q);
@@ -239,8 +253,9 @@ fn inconsistent_counts_are_refused() {
     )
     .unwrap()
     .freeze();
+    let bins = CellGrid::default_bins(&frozen);
     assert!(matches!(
-        GridRoutedSynopsis::build(frozen),
+        CellGrid::build(&frozen, &bins, Some(privtree_suite::runtime::global())),
         Err(GridRouteError::InconsistentCounts { .. })
     ));
 }
@@ -288,9 +303,13 @@ fn serialized_grid_round_trips_bitwise() {
     for _ in 0..5000 {
         ps.push(&[rng.random::<f64>() * 0.5, 0.3 + rng.random::<f64>() * 0.5]);
     }
-    let grid = GridRoutedSynopsis::with_bins(release(2, &ps, 12), &[13, 11]).unwrap();
-    let text = grid_routed_to_text(&grid);
-    let back = grid_routed_from_text(&text).unwrap();
+    let frozen = release(2, &ps, 12);
+    let grid =
+        CellGrid::build(&frozen, &[13, 11], Some(privtree_suite::runtime::global())).unwrap();
+    let text = release_to_text(&frozen, Some(&grid));
+    let (arena, shipped) = release_from_text(&text).unwrap();
+    let back = one_shard(arena, shipped.expect("grid section shipped"));
+    let grid = one_shard(frozen, grid);
     let mut rng = seeded(13);
     for _ in 0..200 {
         let (a, b) = (rng.random::<f64>(), rng.random::<f64>());
