@@ -45,10 +45,10 @@
 //! completely unchanged: mutations stage on a copy of the catalog and
 //! publish only after every validation passed.
 //!
-//! A store serves one dimensionality for its whole life: queries are
-//! decoded against the snapshot's dimensionality before they run (and
-//! the wire `HELO` announces it once per connection), so an add, swap or
-//! `load` whose release has another one is refused with
+//! A store serves one dimensionality for its whole life, fixed when it
+//! opens ([`ReleaseStore::dims`]): queries are decoded against it before
+//! they run (and the wire `HELO` announces it once per connection), so
+//! an add, swap or `load` whose release has another one is refused with
 //! `ShardError::MixedDims` — even a swap of the only shard.
 //!
 //! # Persistence
@@ -192,6 +192,10 @@ pub struct Snapshot {
     synopsis: ShardedSynopsis,
     keys: Vec<String>,
     version: u64,
+    /// When this snapshot was published (drives the snapshot age gauge).
+    /// Stamped while the snapshot is still unshared, so a scrape reads it
+    /// without the writer lock.
+    published_at: Instant,
 }
 
 impl Snapshot {
@@ -272,9 +276,6 @@ struct Inner {
     catalog: BTreeMap<String, ShardHandle>,
     version: u64,
     stats: StoreStats,
-    /// When the current snapshot was published (drives the snapshot
-    /// age gauge).
-    published_at: Instant,
     /// Telemetry handles, when attached.
     metrics: Option<Arc<EngineMetrics>>,
 }
@@ -290,15 +291,18 @@ pub struct ReleaseStore {
     /// Whether every release must carry a cell grid (built on the shared
     /// worker pool at add/swap time unless the handle already has one).
     grids: bool,
+    /// The dimensionality every snapshot serves, fixed at open.
+    dims: usize,
 }
 
 /// Build the snapshot for `catalog`, ensuring grids when requested.
-/// Returns the snapshot plus (grids_built, grid_cells_built).
+/// Returns the snapshot, stamped as published now, plus (grids_built,
+/// grid_cells_built).
 fn build_snapshot(
     catalog: &mut BTreeMap<String, ShardHandle>,
     grids: bool,
     version: u64,
-) -> Result<(Arc<Snapshot>, usize, usize), EngineError> {
+) -> Result<(Snapshot, usize, usize), EngineError> {
     let mut grids_built = 0usize;
     let mut grid_cells_built = 0usize;
     if grids {
@@ -315,11 +319,12 @@ fn build_snapshot(
     }
     let synopsis = ShardedSynopsis::from_handles(catalog.values().cloned().collect())?
         .with_label("EpochSnapshot");
-    let snapshot = Arc::new(Snapshot {
+    let snapshot = Snapshot {
         synopsis,
         keys: catalog.keys().cloned().collect(),
         version,
-    });
+        published_at: Instant::now(),
+    };
     Ok((snapshot, grids_built, grid_cells_built))
 }
 
@@ -374,10 +379,10 @@ impl ReleaseStore {
                     grids_built: grids_built as u64,
                     grid_cells_built: grid_cells_built as u64,
                 },
-                published_at: Instant::now(),
                 metrics: None,
             }),
-            current: ArcCell::new(snapshot),
+            dims: snapshot.dims(),
+            current: ArcCell::new(Arc::new(snapshot)),
             grids,
         })
     }
@@ -436,6 +441,13 @@ impl ReleaseStore {
         self.grids
     }
 
+    /// The dimensionality every snapshot of this store serves: version
+    /// 1's, fixed for life (a mutation to another is refused with
+    /// `ShardError::MixedDims`). Read without loading a snapshot.
+    pub fn dims(&self) -> usize {
+        self.dims
+    }
+
     /// Catalog keys in shard (sorted) order.
     pub fn keys(&self) -> Vec<String> {
         self.snapshot().keys().to_vec()
@@ -451,9 +463,10 @@ impl ReleaseStore {
         self.lock().stats
     }
 
-    /// Time since the current snapshot was published.
+    /// Time since the current snapshot was published. Never waits on
+    /// a mutation in flight: the publish time travels in the snapshot.
     pub fn snapshot_age(&self) -> Duration {
-        self.lock().published_at.elapsed()
+        self.snapshot().published_at.elapsed()
     }
 
     /// Attach telemetry: mutations record their latency and counts
@@ -566,8 +579,8 @@ impl ReleaseStore {
     }
 
     /// Stage `op` on a copy of the catalog, validate (the staged shards
-    /// keep the current snapshot's dimensionality, checked before any
-    /// grid is built), build the next snapshot, run the `persist`
+    /// keep the store's dimensionality, checked before any grid is
+    /// built), build the next snapshot, run the `persist`
     /// durability hook, and only then publish. Any error — the op's, the
     /// build's, or `persist`'s — leaves the store exactly as it was.
     /// `persist` is deliberately the **last** fallible step: when it
@@ -586,16 +599,16 @@ impl ReleaseStore {
         if next.is_empty() {
             return Err(EngineError::WouldBeEmpty);
         }
-        let dims = self.current.load().dims();
-        if let Some(found) = next.values().map(|h| h.arena().dims()).find(|&d| d != dims) {
-            return Err(ShardError::MixedDims {
-                expected: dims,
-                found,
-            }
-            .into());
+        let expected = self.dims;
+        if let Some(found) = next
+            .values()
+            .map(|h| h.arena().dims())
+            .find(|&d| d != expected)
+        {
+            return Err(ShardError::MixedDims { expected, found }.into());
         }
         let version = inner.version + 1;
-        let (snapshot, grids_built, grid_cells_built) =
+        let (mut snapshot, grids_built, grid_cells_built) =
             build_snapshot(&mut next, self.grids, version)?;
         persist(&next)?;
         let shards_reused = next
@@ -620,8 +633,8 @@ impl ReleaseStore {
         inner.stats.publishes += 1;
         inner.stats.grids_built += grids_built as u64;
         inner.stats.grid_cells_built += grid_cells_built as u64;
-        inner.published_at = Instant::now();
-        self.current.store(snapshot);
+        snapshot.published_at = Instant::now();
+        self.current.store(Arc::new(snapshot));
         if let Some(m) = &inner.metrics {
             m.publishes.inc();
             m.grids_built.add(grids_built as u64);
@@ -740,6 +753,7 @@ mod tests {
         // one of the dimensionality queries were decoded for
         let store =
             ReleaseStore::open_gridded([("main", leaf_release(Rect::unit(2), 7.0))]).unwrap();
+        assert_eq!(store.dims(), 2);
         let mut persisted = false;
         let refused = store.swap_with("main", leaf_release(Rect::unit(3), 7.0), |_| {
             persisted = true;
@@ -756,6 +770,19 @@ mod tests {
         assert_eq!(store.stats().grids_built, 1, "nor builds a grid");
         assert_eq!(store.snapshot().version(), 1);
         assert_eq!(store.snapshot().dims(), 2);
+        assert_eq!(store.dims(), 2, "the refused swap left the store's dims");
+
+        // the dims fixed at open are every snapshot's, across a history
+        let store = open_strips();
+        assert_eq!(store.dims(), 2);
+        let extra = leaf_release(Rect::new(&[1.0, 0.0], &[1.25, 1.0]), 5.0);
+        store.add("strip4", extra).unwrap();
+        assert_eq!(store.dims(), store.snapshot().dims());
+        store.swap("strip1", leaf_release(strip(1), 3.0)).unwrap();
+        assert_eq!(store.dims(), store.snapshot().dims());
+        store.retire("strip4").unwrap();
+        assert_eq!(store.dims(), store.snapshot().dims());
+        assert_eq!(store.snapshot().version(), 4);
     }
 
     #[test]

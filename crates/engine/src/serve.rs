@@ -95,11 +95,11 @@ use privtree_runtime::{failpoints, ShutdownSignal};
 use privtree_spatial::query::RangeQuery;
 use privtree_spatial::serialize::release_from_text;
 use privtree_spatial::sharded::ShardHandle;
-use privtree_spatial::Rect;
+use privtree_spatial::{Rect, MAX_DIMS};
 use privtree_store::catalog::looks_binary;
 use privtree_store::{decode_release, Catalog, CatalogMetrics, ReleaseFormat, StoreError};
 
-use crate::session::{run_jobs, Session};
+use crate::session::{find_newline, run_jobs, Session};
 use crate::{EngineError, EngineMetrics, ReleaseStore, Snapshot, SwapReport};
 
 /// Largest accepted `batch <n>`: bounds the per-batch allocation against
@@ -564,36 +564,43 @@ pub fn load_release(path: &str) -> Result<ShardHandle, String> {
 }
 
 /// Parse `<lo0,lo1,..> <hi0,hi1,..>` into a range query over `dims`
-/// dimensions.
+/// dimensions. Every coordinate of `lo`, then of `hi`, is parsed before
+/// the counts are checked, so the first unparseable or non-finite one is
+/// the error, whatever the counts.
 pub fn parse_query(dims: usize, lo: &str, hi: &str) -> Result<RangeQuery, String> {
-    let parse_coords = |csv: &str| -> Result<Vec<f64>, String> {
-        csv.split(',')
-            .map(|x| {
-                x.parse::<f64>()
-                    .map_err(|_| format!("bad coordinate {x}"))
-                    .and_then(|v| {
-                        v.is_finite()
-                            .then_some(v)
-                            .ok_or_else(|| format!("non-finite coordinate {x}"))
-                    })
-            })
-            .collect()
-    };
-    let lo = parse_coords(lo)?;
-    let hi = parse_coords(hi)?;
-    if lo.len() != dims || hi.len() != dims {
+    let mut lo_coords = [0.0; MAX_DIMS];
+    let mut hi_coords = [0.0; MAX_DIMS];
+    let lo_len = parse_corner(lo, &mut lo_coords)?;
+    let hi_len = parse_corner(hi, &mut hi_coords)?;
+    if lo_len != dims || hi_len != dims {
         return Err(format!(
-            "expected {dims} coordinates per corner, got {}/{}",
-            lo.len(),
-            hi.len()
+            "expected {dims} coordinates per corner, got {lo_len}/{hi_len}"
         ));
     }
-    for k in 0..dims {
-        if lo[k] > hi[k] {
-            return Err(format!("lo > hi along dimension {k}"));
-        }
+    let (lo, hi) = (&lo_coords[..dims], &hi_coords[..dims]);
+    if let Some(k) = (0..dims).find(|&k| lo[k] > hi[k]) {
+        return Err(format!("lo > hi along dimension {k}"));
     }
-    Ok(RangeQuery::new(Rect::new(&lo, &hi)))
+    Ok(RangeQuery::new(Rect::new(lo, hi)))
+}
+
+/// Parse one corner's comma-separated coordinates into `coords` and
+/// return how many there were: every one is parsed and counted, and the
+/// first [`MAX_DIMS`] are kept (more can never match a store's
+/// dimensionality).
+fn parse_corner(csv: &str, coords: &mut [f64; MAX_DIMS]) -> Result<usize, String> {
+    let mut len = 0;
+    for x in csv.split(',') {
+        let v: f64 = x.parse().map_err(|_| format!("bad coordinate {x}"))?;
+        if !v.is_finite() {
+            return Err(format!("non-finite coordinate {x}"));
+        }
+        if let Some(slot) = coords.get_mut(len) {
+            *slot = v;
+        }
+        len += 1;
+    }
+    Ok(len)
 }
 
 /// Render a mutation report as the protocol's `ok` reply.
@@ -881,10 +888,7 @@ pub fn serve_lines(
         failpoint("serve.read")?;
         // one line per read (nothing at EOF, which ends the input)
         let available = input.fill_buf()?;
-        let n = available
-            .iter()
-            .position(|&b| b == b'\n')
-            .map_or(available.len(), |pos| pos + 1);
+        let n = find_newline(available).map_or(available.len(), |pos| pos + 1);
         session.feed(&available[..n]);
         input.consume(n);
         if !session.ingest(ctx) {

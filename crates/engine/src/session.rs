@@ -84,8 +84,6 @@ struct BatchState {
     /// First failure; the batch still drains all `n` lines so the
     /// stream stays aligned, then answers this one `err`.
     problem: Option<String>,
-    /// Dimensionality captured when the batch opened.
-    dims: usize,
     /// When the `batch` command decoded (request latency starts at the
     /// command, not its last query line). `None` when nothing clocks.
     created: Option<Instant>,
@@ -120,8 +118,9 @@ enum Job {
 
 /// What one scan of the text input produced.
 enum TextEvent {
-    /// A complete line (already consumed from the input).
-    Line(Vec<u8>),
+    /// A complete line, as its range of `inbuf` without the newline and
+    /// any trailing `\r` (already consumed: `inpos` is past it).
+    Line(std::ops::Range<usize>),
     /// An oversized line was discarded through its newline.
     TooLong,
     /// Need more bytes.
@@ -264,7 +263,7 @@ impl Session {
                     self.inbuf.drain(..4);
                     self.proto = Proto::Wire;
                     let mut hello = Vec::new();
-                    wire::encode_hello_frame_into(&mut hello, ctx.store.snapshot().dims());
+                    wire::encode_hello_frame_into(&mut hello, ctx.store.dims());
                     ctx.metrics.wire_frames_out.inc();
                     self.jobs.push_back(Job::Reply(hello));
                 } else {
@@ -291,7 +290,7 @@ impl Session {
             return TextEvent::Incomplete;
         };
         if state.skipping {
-            match self.inbuf[self.inpos..].iter().position(|&b| b == b'\n') {
+            match find_newline(&self.inbuf[self.inpos..]) {
                 Some(pos) => {
                     self.inpos += pos + 1;
                     state.skipping = false;
@@ -305,10 +304,7 @@ impl Session {
             }
         }
         let scanned = state.scanned;
-        let newline = self.inbuf[self.inpos + scanned..]
-            .iter()
-            .position(|&b| b == b'\n')
-            .map(|pos| scanned + pos);
+        let newline = find_newline(&self.inbuf[self.inpos + scanned..]).map(|pos| scanned + pos);
         state.scanned = 0;
         match newline {
             Some(pos) if pos > MAX_LINE => {
@@ -316,12 +312,13 @@ impl Session {
                 TextEvent::TooLong
             }
             Some(pos) => {
-                let mut line = self.inbuf[self.inpos..self.inpos + pos].to_vec();
-                self.inpos += pos + 1;
-                while matches!(line.last(), Some(b'\r')) {
-                    line.pop();
+                let start = self.inpos;
+                let mut end = start + pos;
+                self.inpos = end + 1;
+                while end > start && self.inbuf[end - 1] == b'\r' {
+                    end -= 1;
                 }
-                TextEvent::Line(line)
+                TextEvent::Line(start..end)
             }
             None if self.inbuf.len() - self.inpos > MAX_LINE => {
                 self.inbuf.clear();
@@ -344,7 +341,14 @@ impl Session {
             match self.next_text_event() {
                 TextEvent::Incomplete => break,
                 TextEvent::TooLong => self.line_too_long(ctx),
-                TextEvent::Line(line) => self.text_line(ctx, &line),
+                TextEvent::Line(range) => {
+                    // decode the line where it lies: the line handlers
+                    // never touch `inbuf`, so it steps aside for the call
+                    // instead of the line being copied out
+                    let inbuf = std::mem::take(&mut self.inbuf);
+                    self.text_line(ctx, &inbuf[range]);
+                    self.inbuf = inbuf;
+                }
             }
         }
         if !self.eof || self.eof_done {
@@ -359,10 +363,9 @@ impl Session {
         } else if self.inpos < self.inbuf.len() {
             // an unterminated final line still counts as a line
             state.scanned = 0;
-            let line = self.inbuf[self.inpos..].to_vec();
-            self.inbuf.clear();
-            self.inpos = 0;
-            self.text_line(ctx, &line);
+            let inbuf = std::mem::take(&mut self.inbuf);
+            let start = std::mem::take(&mut self.inpos);
+            self.text_line(ctx, &inbuf[start..]);
         }
         if let Proto::Text(state) = &mut self.proto {
             if state.batch.take().is_some() {
@@ -423,47 +426,30 @@ impl Session {
     /// Route one complete text line: a batch query line if a batch is
     /// open, a command otherwise.
     fn text_line(&mut self, ctx: &ServeContext, raw: &[u8]) {
-        if let Proto::Text(TextState {
-            batch: Some(batch), ..
-        }) = &self.proto
-        {
-            let parsed = match std::str::from_utf8(raw) {
-                Err(_) => Err("batch line is not valid utf-8".to_string()),
-                Ok(qline) => {
-                    let mut parts = qline.split_whitespace();
-                    match (parts.next(), parts.next()) {
-                        (Some(lo), Some(hi)) => parse_query(batch.dims, lo, hi),
-                        _ => Err(format!("bad batch line: {qline}")),
-                    }
-                }
-            };
-            self.batch_line(parsed);
+        if matches!(&self.proto, Proto::Text(s) if s.batch.is_some()) {
+            self.batch_line(batch_query(ctx.store.dims(), raw));
             return;
         }
         let Ok(line) = std::str::from_utf8(raw) else {
             self.push_line("err line is not valid utf-8");
             return;
         };
-        let line = line.trim();
-        if line.is_empty() {
-            return;
-        }
-        let mut fields = line.split_whitespace();
-        match fields.next().unwrap_or_default() {
-            "count" => {
-                let snap = ctx.store.snapshot();
-                match (fields.next(), fields.next()) {
-                    (Some(lo), Some(hi)) => match parse_query(snap.dims(), lo, hi) {
-                        Ok(q) => self.jobs.push_back(Job::Queries {
-                            queries: vec![q],
-                            shape: Shape::Text,
-                            created: ctx.clocked().then(Instant::now),
-                        }),
-                        Err(e) => self.push_line(&format!("err {e}")),
-                    },
-                    _ => self.push_line("err count needs <lo> <hi>"),
-                }
-            }
+        let mut fields = Fields(line);
+        let Some(command) = fields.next() else {
+            return; // a blank line
+        };
+        match command {
+            "count" => match (fields.next(), fields.next()) {
+                (Some(lo), Some(hi)) => match parse_query(ctx.store.dims(), lo, hi) {
+                    Ok(q) => self.jobs.push_back(Job::Queries {
+                        queries: vec![q],
+                        shape: Shape::Text,
+                        created: ctx.clocked().then(Instant::now),
+                    }),
+                    Err(e) => self.push_line(&format!("err {e}")),
+                },
+                _ => self.push_line("err count needs <lo> <hi>"),
+            },
             "batch" => {
                 let n: usize = match fields.next().and_then(|v| v.parse().ok()) {
                     Some(n) if n <= MAX_BATCH => n,
@@ -479,7 +465,6 @@ impl Session {
                     }
                 };
                 let created = ctx.clocked().then(Instant::now);
-                let dims = ctx.store.snapshot().dims();
                 if n == 0 {
                     self.jobs.push_back(Job::Queries {
                         queries: Vec::new(),
@@ -493,13 +478,12 @@ impl Session {
                         remaining: n,
                         queries: Vec::with_capacity(n.min(1 << 16)),
                         problem: None,
-                        dims,
                         created,
                     });
                 }
             }
             "quit" => self.jobs.push_back(Job::Quit),
-            _ => self.jobs.push_back(Job::Control(line.to_string())),
+            _ => self.jobs.push_back(Job::Control(line.trim().to_string())),
         }
     }
 
@@ -539,19 +523,16 @@ impl Session {
                 }
             };
             match header.tag {
-                wire::TAG_QUERY => {
-                    let dims = ctx.store.snapshot().dims();
-                    match wire::decode_query_payload(body, dims) {
-                        Ok(queries) => self.jobs.push_back(Job::Queries {
-                            queries,
-                            shape: Shape::Wire {
-                                crc: header.has_crc(),
-                            },
-                            created: ctx.clocked().then(Instant::now),
-                        }),
-                        Err(e) => self.push_err_frame(ctx, wire::ERR_BAD_QUERY, &e, false),
-                    }
-                }
+                wire::TAG_QUERY => match wire::decode_query_payload(body, ctx.store.dims()) {
+                    Ok(queries) => self.jobs.push_back(Job::Queries {
+                        queries,
+                        shape: Shape::Wire {
+                            crc: header.has_crc(),
+                        },
+                        created: ctx.clocked().then(Instant::now),
+                    }),
+                    Err(e) => self.push_err_frame(ctx, wire::ERR_BAD_QUERY, &e, false),
+                },
                 wire::TAG_METRICS => {
                     // the binary `metrics` verb: rendered at decode time
                     // (like `HELO`) and queued as a reply, so it lands in
@@ -582,6 +563,125 @@ impl Session {
             self.jobs.push_back(Job::Quit);
             self.eof_done = true;
         }
+    }
+}
+
+/// Index of the first byte of `bytes` that `hit` accepts, eight bytes at
+/// a time: `flags` maps a little-endian word to a mask with the high bit
+/// of every hit byte set. It may also flag bytes *above* a hit (a SWAR
+/// borrow), never below one, so its lowest flag is always exact; the
+/// tail shorter than a word is tested with `hit` directly.
+fn find_byte(bytes: &[u8], flags: impl Fn(u64) -> u64, hit: impl Fn(u8) -> bool) -> Option<usize> {
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in (&mut words).enumerate() {
+        let found = flags(u64::from_le_bytes(
+            word.try_into().expect("an 8-byte chunk"),
+        ));
+        if found != 0 {
+            return Some(i * 8 + found.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
+    let base = bytes.len() - tail.len();
+    tail.iter().position(|&b| hit(b)).map(|pos| base + pos)
+}
+
+/// `0x01` in every byte of a word.
+const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+/// `0x80` in every byte of a word.
+const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+
+/// Index of the first `\n` in `bytes`: a word XORed with `\n` in every
+/// byte has a zero byte exactly where the word has a newline, and the
+/// SWAR zero-byte test `(x - 0x01..) & !x & 0x80..` flags it.
+pub(crate) fn find_newline(bytes: &[u8]) -> Option<usize> {
+    find_byte(
+        bytes,
+        |word| {
+            let x = word ^ (ONES * u64::from(b'\n'));
+            x.wrapping_sub(ONES) & !x & HIGHS
+        },
+        |b| b == b'\n',
+    )
+}
+
+/// Length of the leading run of bytes in `0x21..=0x7F` — ASCII that is
+/// neither whitespace nor a control char below space — which no field
+/// boundary can fall inside. A byte under `0x21` borrows in
+/// `x - 0x21..` and a non-ASCII byte has its high bit set, so
+/// `(x - 0x21..) | x` flags both.
+fn plain_run(bytes: &[u8]) -> usize {
+    find_byte(
+        bytes,
+        |x| (x.wrapping_sub(ONES * 0x21) | x) & HIGHS,
+        |b| !(0x21..0x80).contains(&b),
+    )
+    .unwrap_or(bytes.len())
+}
+
+/// The fields of a protocol line, split exactly where
+/// `char::is_whitespace` splits (the rule of `str::split_whitespace`,
+/// without its per-char decode). A field's plain ASCII is skipped a word
+/// at a time; any other byte is tested against TAB, LF, VT, FF, CR and
+/// space (`u8::is_ascii_whitespace` leaves out VT), and a non-ASCII
+/// char is decoded in place and asked.
+struct Fields<'a>(&'a str);
+
+/// Whether the char at byte `i` of `line` (a char boundary) is
+/// whitespace, and its length in bytes.
+fn whitespace_at(line: &str, i: usize) -> (bool, usize) {
+    let b = line.as_bytes()[i];
+    if b.is_ascii() {
+        (
+            matches!(b, b'\t' | b'\n' | b'\x0b' | b'\x0c' | b'\r' | b' '),
+            1,
+        )
+    } else {
+        let c = line[i..].chars().next().expect("a char boundary");
+        (c.is_whitespace(), c.len_utf8())
+    }
+}
+
+impl<'a> Iterator for Fields<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let line = self.0;
+        let mut i = 0;
+        let start = loop {
+            if i == line.len() {
+                self.0 = "";
+                return None;
+            }
+            match whitespace_at(line, i) {
+                (true, len) => i += len,
+                (false, _) => break i,
+            }
+        };
+        loop {
+            i += plain_run(&line.as_bytes()[i..]);
+            if i == line.len() {
+                break;
+            }
+            match whitespace_at(line, i) {
+                (false, len) => i += len,
+                (true, _) => break,
+            }
+        }
+        self.0 = &line[i..];
+        Some(&line[start..i])
+    }
+}
+
+/// Decode one batch query line, `<lo> <hi>` (fields past the second
+/// are ignored).
+fn batch_query(dims: usize, raw: &[u8]) -> Result<RangeQuery, String> {
+    let qline =
+        std::str::from_utf8(raw).map_err(|_| "batch line is not valid utf-8".to_string())?;
+    let mut fields = Fields(qline);
+    match (fields.next(), fields.next()) {
+        (Some(lo), Some(hi)) => parse_query(dims, lo, hi),
+        _ => Err(format!("bad batch line: {qline}")),
     }
 }
 
@@ -810,6 +910,235 @@ fn append_answers(session: &mut Session, shape: Shape, answers: &[f64], ctx: &Se
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReleaseStore;
+    use privtree_spatial::{FrozenSynopsis, Rect};
+    use proptest::prelude::*;
+
+    /// The `split_whitespace` + `Vec` text decoder this module replaced,
+    /// kept verbatim as the reference the in-place one must match reply
+    /// for reply.
+    mod reference {
+        use privtree_spatial::query::RangeQuery;
+        use privtree_spatial::Rect;
+
+        pub fn parse_query(dims: usize, lo: &str, hi: &str) -> Result<RangeQuery, String> {
+            let parse_coords = |csv: &str| -> Result<Vec<f64>, String> {
+                csv.split(',')
+                    .map(|x| {
+                        x.parse::<f64>()
+                            .map_err(|_| format!("bad coordinate {x}"))
+                            .and_then(|v| {
+                                v.is_finite()
+                                    .then_some(v)
+                                    .ok_or_else(|| format!("non-finite coordinate {x}"))
+                            })
+                    })
+                    .collect()
+            };
+            let lo = parse_coords(lo)?;
+            let hi = parse_coords(hi)?;
+            if lo.len() != dims || hi.len() != dims {
+                return Err(format!(
+                    "expected {dims} coordinates per corner, got {}/{}",
+                    lo.len(),
+                    hi.len()
+                ));
+            }
+            for k in 0..dims {
+                if lo[k] > hi[k] {
+                    return Err(format!("lo > hi along dimension {k}"));
+                }
+            }
+            Ok(RangeQuery::new(Rect::new(&lo, &hi)))
+        }
+
+        /// A line as the line splitter handed it over: copied, with its
+        /// trailing `\r`s popped.
+        fn line(raw: &[u8]) -> Vec<u8> {
+            let mut line = raw.to_vec();
+            while matches!(line.last(), Some(b'\r')) {
+                line.pop();
+            }
+            line
+        }
+
+        /// A query line read inside an open batch.
+        pub fn batch_line(dims: usize, raw: &[u8]) -> Result<RangeQuery, String> {
+            let raw = line(raw);
+            match std::str::from_utf8(&raw) {
+                Err(_) => Err("batch line is not valid utf-8".to_string()),
+                Ok(qline) => {
+                    let mut parts = qline.split_whitespace();
+                    match (parts.next(), parts.next()) {
+                        (Some(lo), Some(hi)) => parse_query(dims, lo, hi),
+                        _ => Err(format!("bad batch line: {qline}")),
+                    }
+                }
+            }
+        }
+
+        /// A command line whose first field is `count`.
+        pub fn count_line(dims: usize, raw: &[u8]) -> Result<RangeQuery, String> {
+            let raw = line(raw);
+            let Ok(line) = std::str::from_utf8(&raw) else {
+                return Err("line is not valid utf-8".to_string());
+            };
+            let line = line.trim();
+            let mut fields = line.split_whitespace();
+            assert_eq!(fields.next(), Some("count"));
+            match (fields.next(), fields.next()) {
+                (Some(lo), Some(hi)) => parse_query(dims, lo, hi),
+                _ => Err("count needs <lo> <hi>".to_string()),
+            }
+        }
+    }
+
+    /// The pieces fuzzed lines are drawn from: number syntax, ASCII
+    /// whitespace (VT included), three non-ASCII whitespace chars, and
+    /// one multibyte char that is not whitespace.
+    const PIECES: [&str; 27] = [
+        "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", ".", "e", "E", "+", "-", ",", "inf",
+        "nan", " ", "\t", "\x0b", "\x0c", "\r", "\u{a0}", "\u{2003}", "\u{3000}", "é",
+    ];
+
+    /// Field separators for the well-formed lines.
+    const SEPARATORS: [&str; 7] = [" ", "\t", "\x0b", "\x0c", "\u{a0}", "\u{2003}", "\u{3000}"];
+
+    /// A one-release store serving `dims` dimensions.
+    fn context(dims: usize) -> ServeContext {
+        let region = Rect::unit(dims);
+        let tree = privtree_core::tree::Tree::with_root(region);
+        let leaf = FrozenSynopsis::from_tree(&tree, &[7.0], "leaf");
+        ServeContext::new(ReleaseStore::open([("main", leaf)]).unwrap())
+    }
+
+    /// Feed `input` to a fresh session and return its one decoded job:
+    /// the query's corner bits, or the rendered `err` reply.
+    fn decode_one(ctx: &ServeContext, input: &[u8]) -> Result<Vec<u64>, String> {
+        let mut session = Session::default();
+        session.feed(input);
+        assert!(session.ingest(ctx));
+        assert_eq!(session.jobs.len(), 1, "one job from {input:?}");
+        match session.jobs.pop_front() {
+            Some(Job::Queries { queries, .. }) if queries.len() == 1 => Ok(bits(&queries[0])),
+            Some(Job::Reply(bytes)) => Err(String::from_utf8(bytes).unwrap()),
+            _ => panic!("neither one query nor a reply from {input:?}"),
+        }
+    }
+
+    /// A query's `lo` then `hi` corner, as bits.
+    fn bits(q: &RangeQuery) -> Vec<u64> {
+        q.rect
+            .lo()
+            .iter()
+            .chain(q.rect.hi())
+            .map(|c| c.to_bits())
+            .collect()
+    }
+
+    /// The reference's outcome in [`decode_one`]'s terms.
+    fn rendered(outcome: Result<RangeQuery, String>) -> Result<Vec<u64>, String> {
+        outcome.as_ref().map(bits).map_err(|e| format!("err {e}\n"))
+    }
+
+    /// `line` decodes to the same query bits or the same `err` reply as
+    /// the reference, as a `count` and as a batch line, at `dims`.
+    fn check_line(ctx: &ServeContext, dims: usize, line: &str) -> Result<(), TestCaseError> {
+        let fields: Vec<&str> = Fields(line).collect();
+        prop_assert_eq!(fields, line.split_whitespace().collect::<Vec<_>>());
+        let count = format!("count {line}");
+        prop_assert_eq!(
+            decode_one(ctx, format!("{count}\n").as_bytes()),
+            rendered(reference::count_line(dims, count.as_bytes()))
+        );
+        prop_assert_eq!(
+            decode_one(ctx, format!("batch 1\n{line}\n").as_bytes()),
+            rendered(reference::batch_line(dims, line.as_bytes()))
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn text_decode_matches_the_split_whitespace_reference(
+            lines in collection::vec(collection::vec(0usize..PIECES.len(), 0..24), 16..17),
+            coords in collection::vec(-2.0f64..2.0, 6..7),
+            seps in collection::vec(0usize..SEPARATORS.len(), 2..3),
+            junk_at in 0usize..3,
+        ) {
+            let junk: String = lines[0].iter().map(|&i| PIECES[i]).collect();
+            for dims in 1..=3 {
+                let ctx = context(dims);
+                for pieces in &lines {
+                    let line: String = pieces.iter().map(|&i| PIECES[i]).collect();
+                    check_line(&ctx, dims, &line)?;
+                }
+                // a well-formed query (shortest round-trip coordinates,
+                // or `%.17e`), bare, reversed, and with the junk spliced
+                // in
+                let corner = |pick: fn(f64, f64) -> f64| {
+                    (0..dims)
+                        .map(|k| {
+                            let c = pick(coords[k], coords[3 + k]);
+                            if k % 2 == 0 { format!("{c}") } else { format!("{c:.17e}") }
+                        })
+                        .collect::<Vec<_>>()
+                        .join(",")
+                };
+                let (lo, hi) = (corner(f64::min), corner(f64::max));
+                let (sep, lead) = (SEPARATORS[seps[0]], SEPARATORS[seps[1]]);
+                check_line(&ctx, dims, &format!("{lo}{sep}{hi}"))?;
+                check_line(&ctx, dims, &format!("{hi}{sep}{lo}"))?;
+                let spliced = match junk_at {
+                    0 => format!("{lead}{junk}{lo}{sep}{hi}"),
+                    1 => format!("{lo}{junk}{sep}{hi}{lead}"),
+                    _ => format!("{lead}{lo}{sep}{hi}{sep}{junk}"),
+                };
+                check_line(&ctx, dims, &spliced)?;
+            }
+        }
+    }
+
+    #[test]
+    fn plain_runs_end_at_the_first_byte_outside_0x21_to_0x7f() {
+        // a run of plain bytes, then one byte on either side of each
+        // bound, at every offset of a word and its tail
+        for stop in [0x00u8, 0x09, 0x20, 0x80, 0xc2, 0xff] {
+            for len in 0..=40 {
+                for at in 0..len {
+                    let mut buf = vec![b'7'; len];
+                    buf[at] = stop;
+                    assert_eq!(plain_run(&buf), at, "stop {stop:#x}, len {len}");
+                    buf[..at].fill(0x21);
+                    assert_eq!(plain_run(&buf), at, "stop {stop:#x}, len {len}");
+                    buf[..at].fill(0x7f);
+                    assert_eq!(plain_run(&buf), at, "stop {stop:#x}, len {len}");
+                }
+                assert_eq!(plain_run(&vec![b'~'; len]), len);
+            }
+        }
+    }
+
+    #[test]
+    fn word_at_a_time_newline_search_matches_position() {
+        // fills next to `\n` in every way the SWAR test could misread:
+        // one below, one above (the borrow), its high-bit twin, all ones
+        for fill in [0x09u8, 0x0b, 0x8a, 0xff] {
+            for len in 0..=40 {
+                let mut buf = vec![fill; len];
+                assert_eq!(find_newline(&buf), None);
+                for at in 0..len {
+                    buf.fill(fill);
+                    buf[at] = b'\n';
+                    let expected = buf.iter().position(|&b| b == b'\n');
+                    assert_eq!(find_newline(&buf), expected, "fill {fill:#x}, len {len}");
+                    // a second newline later never shadows the first
+                    buf[len - 1] = b'\n';
+                    assert_eq!(find_newline(&buf), Some(at), "fill {fill:#x}, len {len}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn internal_errors_render_on_one_line() {

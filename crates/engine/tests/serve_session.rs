@@ -78,13 +78,16 @@ fn serve_split(ctx: &ServeContext, input: &[u8], k: usize) -> Vec<u8> {
 
 /// Every text-protocol path — plain and `\r\n` commands, an empty
 /// batch, a batch with a bad line, an unknown verb, an empty line, a
-/// malformed `count`, an oversized line, invalid UTF-8, and a batch
-/// truncated by EOF — replies identically under every read split.
+/// malformed `count`, an oversized line, invalid UTF-8, fields split by
+/// any Unicode whitespace (VT, FF, TAB, NBSP; leading, and a third field
+/// ignored), every coordinate error (too many, overflow to infinity,
+/// `nan`, empty, `lo > hi`), and a batch truncated by EOF — replies
+/// identically under every read split.
 #[test]
 fn text_replies_are_identical_under_any_read_split() {
     let ctx = test_context(1201);
     let snap = ctx.store.snapshot();
-    let qs = workload(5, 1202);
+    let qs = workload(14, 1202);
     let mut input = Vec::new();
     input.extend_from_slice(b"keys\n");
     input.extend_from_slice(format!("count {}\r\n", query_line(&qs[0])).as_bytes());
@@ -103,6 +106,23 @@ fn text_replies_are_identical_under_any_read_split() {
     input.extend_from_slice(b"frobnicate now\n\ncount 1\n");
     input.extend_from_slice(&vec![b'x'; MAX_LINE + 10]);
     input.extend_from_slice(b"\n\xff\xfe\xfd\n");
+    // fields split wherever `char::is_whitespace` does: VT, FF, TAB and
+    // NBSP separate `count` and batch fields alike
+    let corners = |q: &RangeQuery, sep: &str| query_line(q).replace(' ', sep);
+    for (q, sep) in qs[5..9].iter().zip(["\x0b", "\x0c", "\t", "\u{a0}"]) {
+        input.extend_from_slice(format!("count{sep}{}\n", corners(q, sep)).as_bytes());
+    }
+    input.extend_from_slice(b"batch 5\n");
+    for (q, sep) in qs[5..9].iter().zip(["\x0b", "\x0c", "\t", "\u{a0}"]) {
+        input.extend_from_slice(format!("{}\n", corners(q, sep)).as_bytes());
+    }
+    input.extend_from_slice(format!(" \t{}\n", query_line(&qs[9])).as_bytes());
+    input.extend_from_slice(format!("count {} extra\n", query_line(&qs[10])).as_bytes());
+    input.extend_from_slice(b"count 1,2,3,4,5,6,7,8,9 1,2,3,4,5,6,7,8,9\n");
+    input.extend_from_slice(b"count 0,0 1e400,1\n");
+    input.extend_from_slice(b"count nan,0 1,1\n");
+    input.extend_from_slice(b"count , ,\n");
+    input.extend_from_slice(b"count 0.5,0.25 0.25,0.75\n");
     input.extend_from_slice(format!("batch 2\n{}\n", query_line(&qs[4])).as_bytes());
 
     let expected = [
@@ -114,8 +134,21 @@ fn text_replies_are_identical_under_any_read_split() {
         "err count needs <lo> <hi>".to_string(),
         format!("err line too long (max {MAX_LINE} bytes)"),
         "err line is not valid utf-8".to_string(),
-        "err unexpected end of input inside batch".to_string(),
     ];
+    let expected: Vec<String> = expected
+        .into_iter()
+        .chain(qs[5..9].iter().map(|q| format!("{:.17e}", snap.answer(q))))
+        .chain(qs[5..10].iter().map(|q| format!("{:.17e}", snap.answer(q))))
+        .chain([
+            format!("{:.17e}", snap.answer(&qs[10])),
+            "err expected 2 coordinates per corner, got 9/9".to_string(),
+            "err non-finite coordinate 1e400".to_string(),
+            "err non-finite coordinate nan".to_string(),
+            "err bad coordinate ".to_string(),
+            "err lo > hi along dimension 0".to_string(),
+            "err unexpected end of input inside batch".to_string(),
+        ])
+        .collect();
     let whole = serve_split(&ctx, &input, input.len());
     let lines: Vec<&str> = std::str::from_utf8(&whole).unwrap().lines().collect();
     assert_eq!(lines, expected);

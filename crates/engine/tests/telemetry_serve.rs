@@ -423,3 +423,46 @@ fn journal_append_and_fsync_land_in_the_exposition() {
     assert_eq!(value("journal_replayed_ops_total"), 0, "fresh catalog");
     assert_eq!(value("catalog_checkpoints_total"), 0);
 }
+
+/// A scrape never waits on the writer lock: while a swap sits in its
+/// persist hook (the step a journaled mutation spends in fsync), another
+/// thread's `snapshot_age` and `metrics` exposition both return, and
+/// still see the pre-swap snapshot.
+#[test]
+fn scrapes_do_not_wait_on_a_mutation_in_flight() {
+    use std::sync::mpsc::channel;
+
+    let ctx = &test_context(1301);
+    let (entered_tx, entered_rx) = channel();
+    let (release_tx, release_rx) = channel::<()>();
+    let (scraped_tx, scraped_rx) = channel();
+    std::thread::scope(|s| {
+        let swapper = s.spawn(move || {
+            ctx.store.swap_with("main", sample_release(1302, 800), |_| {
+                entered_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+                Ok(())
+            })
+        });
+        entered_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the swap reached its persist hook");
+        s.spawn(move || {
+            let age = ctx.store.snapshot_age();
+            let lines = exposition_lines(ctx);
+            let _ = scraped_tx.send((age, lines));
+        });
+        let scraped = scraped_rx.recv_timeout(Duration::from_secs(5));
+        // unblock the writer before asserting, so a failure cannot hang
+        // the scope on the parked hook
+        release_tx.send(()).unwrap();
+        let (age, lines) = scraped.expect("a scrape returned while the swap was in flight");
+        assert!(age < Duration::from_secs(3600));
+        assert!(
+            lines.iter().any(|l| l == "store_version 1"),
+            "the scrape saw the pre-swap snapshot"
+        );
+        assert_eq!(swapper.join().unwrap().unwrap().version, 2);
+    });
+    assert_eq!(ctx.store.snapshot().version(), 2);
+}
