@@ -13,9 +13,9 @@
 //! frozen walk (same answers, to float reassociation). Shipped grids
 //! are used either way; `--grids` also builds a default grid for every
 //! release that arrives without one, at boot and on each `add`/`swap`/
-//! `load`. Epoch operations (`add`/`swap`/`retire`) rebuild only the
-//! routing arena and, with `--grids`, the touched release's grid while
-//! in-flight readers keep their snapshot.
+//! `load`. Epoch operations (`add`/`swap`/`retire`) reuse every
+//! untouched shard and build, with `--grids`, only the touched release's
+//! grid while in-flight readers keep their snapshot.
 //!
 //! ```text
 //! privtree-serve [--grids] [--listen ADDR] [--catalog DIR]

@@ -19,19 +19,19 @@
 //!   a snapshot taken before a swap keeps answering the *old* epoch's
 //!   bits for as long as it is held.
 //! * Writers call [`ReleaseStore::add`] / [`ReleaseStore::swap`] /
-//!   [`ReleaseStore::retire`]. A mutation rebuilds **only** the small
-//!   routing arena (one synthetic root + one leaf per shard, via
-//!   `ShardedSynopsis::from_handles`) and — in a gridded store — the cell
+//!   [`ReleaseStore::retire`]. A mutation re-runs
+//!   `ShardedSynopsis::from_handles` over the staged handles (checks
+//!   only: nothing is copied) and — in a gridded store — builds the cell
 //!   grid of **only** the release(s) it introduced; every surviving shard
 //!   is reused by `Arc` pointer, grid included. The returned
-//!   [`SwapReport`] instruments exactly that (`routing_nodes_rebuilt`,
-//!   `grids_built`, `grid_cells_built`, `shards_reused`), and the
-//!   lifecycle tests assert on it.
+//!   [`SwapReport`] instruments exactly that (`grids_built`,
+//!   `grid_cells_built`, `shards_reused`), and the lifecycle tests assert
+//!   on it.
 //!
 //! # Determinism contract
 //!
-//! The catalog is a `BTreeMap`, so shards always enter the routing arena
-//! in **sorted key order**. A snapshot reached through *any* sequence of
+//! The catalog is a `BTreeMap`, so shards are always answered in
+//! **sorted key order**. A snapshot reached through *any* sequence of
 //! add/swap/retire operations therefore answers **bit-identically** to a
 //! from-scratch `ShardedSynopsis::from_releases` of the surviving shard
 //! set assembled in sorted key order (gridded stores compare against a
@@ -156,9 +156,6 @@ pub struct SwapReport {
     pub version: u64,
     /// Shards serving after the mutation.
     pub shard_count: usize,
-    /// Nodes of the routing arena that was rebuilt (`shard_count + 1`
-    /// for region catalogs — the only arena a mutation constructs).
-    pub routing_nodes_rebuilt: usize,
     /// Cell grids built by this mutation: 1 for an add/swap in a gridded
     /// store whose release arrives without a grid, however many shards
     /// survive; 0 in an ungridded store, for a retire, and for a release
@@ -219,7 +216,7 @@ impl Snapshot {
         self.synopsis.shard_count()
     }
 
-    /// Total nodes across the routing arena and every shard.
+    /// Total nodes across every serving release.
     pub fn node_count(&self) -> usize {
         self.synopsis.node_count()
     }
@@ -240,7 +237,7 @@ impl RangeCountSynopsis for Snapshot {
     }
 
     fn label(&self) -> &'static str {
-        self.synopsis.label()
+        "EpochSnapshot"
     }
 }
 
@@ -306,9 +303,9 @@ fn build_snapshot(
     let mut grids_built = 0usize;
     let mut grid_cells_built = 0usize;
     if grids {
-        // validate the shard set (cheap: shard_count + 1 routing nodes)
-        // before any grid precompute, so a rejected mutation — overlap,
-        // mixed dims — never pays for a grid it would throw away
+        // validate the shard set (cheap: pairwise region checks, no
+        // copies) before any grid precompute, so a rejected mutation —
+        // overlap, mixed dims — never pays for a grid it would throw away
         ShardedSynopsis::from_handles(catalog.values().cloned().collect())?;
         for handle in catalog.values_mut() {
             if handle.ensure_grid(Some(privtree_runtime::global()))? {
@@ -317,8 +314,7 @@ fn build_snapshot(
             }
         }
     }
-    let synopsis = ShardedSynopsis::from_handles(catalog.values().cloned().collect())?
-        .with_label("EpochSnapshot");
+    let synopsis = ShardedSynopsis::from_handles(catalog.values().cloned().collect())?;
     let snapshot = Snapshot {
         synopsis,
         keys: catalog.keys().cloned().collect(),
@@ -517,8 +513,8 @@ impl ReleaseStore {
     }
 
     /// Replace the release serving under `key` — the epoch swap. Only
-    /// the routing arena and (in a gridded store) the new release's grid
-    /// are rebuilt; see [`SwapReport`].
+    /// the new release's grid (in a gridded store) is built; every other
+    /// shard is reused. See [`SwapReport`].
     pub fn swap(
         &self,
         key: impl Into<String>,
@@ -623,7 +619,6 @@ impl ReleaseStore {
         let report = SwapReport {
             version,
             shard_count: next.len(),
-            routing_nodes_rebuilt: snapshot.synopsis().routing_node_count(),
             grids_built,
             grid_cells_built,
             shards_reused,
@@ -688,7 +683,7 @@ mod tests {
         let report = store.swap("strip1", leaf_release(strip(1), 200.0)).unwrap();
         assert_eq!(report.version, 2);
         assert_eq!(report.shards_reused, 3);
-        assert_eq!(report.routing_nodes_rebuilt, 5);
+        assert_eq!(report.shard_count, 4);
         let after = store.snapshot();
         let whole = RangeQuery::new(Rect::unit(2));
         assert_eq!(before.answer(&whole), 100.0, "old snapshot is frozen");

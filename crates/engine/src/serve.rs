@@ -606,14 +606,9 @@ fn parse_corner(csv: &str, coords: &mut [f64; MAX_DIMS]) -> Result<usize, String
 /// Render a mutation report as the protocol's `ok` reply.
 pub fn report_line(r: &SwapReport) -> String {
     format!(
-        "ok version={} shards={} routing_nodes_rebuilt={} grids_built={} \
-         grid_cells_built={} shards_reused={}",
-        r.version,
-        r.shard_count,
-        r.routing_nodes_rebuilt,
-        r.grids_built,
-        r.grid_cells_built,
-        r.shards_reused
+        "ok version={} shards={} grids_built={} grid_cells_built={} \
+         shards_reused={}",
+        r.version, r.shard_count, r.grids_built, r.grid_cells_built, r.shards_reused
     )
 }
 
@@ -673,36 +668,31 @@ pub(crate) fn control_reply(ctx: &ServeContext, line: &str) -> String {
         "add" | "swap" => match (fields.next(), fields.next()) {
             (Some(key), Some(path)) => {
                 let outcome = load_release(path).and_then(|handle| {
-                    let op = if ctx.journaled() {
-                        // journal-before-ack: persist the staged shard
-                        // into the catalog (one generation + one
-                        // write-ahead record) as the mutation's last
-                        // fallible step — the shard is saved after the
-                        // snapshot build so its grid, shipped or built,
-                        // lands in the catalog too
-                        let persist = |next: &BTreeMap<String, ShardHandle>| {
-                            let shard = next.get(key).expect("the op staged this key");
-                            let mut catalog =
-                                ctx.lock_catalog().expect("journaling implies a catalog");
-                            catalog
-                                .save(
-                                    key,
-                                    shard.arena(),
-                                    shard.grid().map(|g| g.as_ref()),
-                                    ReleaseFormat::Binary,
-                                )
-                                .map(|_| ())
-                                .map_err(EngineError::Store)
-                        };
-                        if command == "add" {
-                            ctx.store.add_with(key, handle, persist)
-                        } else {
-                            ctx.store.swap_with(key, handle, persist)
+                    // journal-before-ack: persist the staged shard into
+                    // the catalog (one generation + one write-ahead
+                    // record) as the mutation's last fallible step — the
+                    // shard is saved after the snapshot build so its
+                    // grid, shipped or built, lands in the catalog too
+                    let persist = |next: &BTreeMap<String, ShardHandle>| {
+                        if !ctx.journaled() {
+                            return Ok(());
                         }
-                    } else if command == "add" {
-                        ctx.store.add(key, handle)
+                        let shard = next.get(key).expect("the op staged this key");
+                        let mut catalog = ctx.lock_catalog().expect("journaling implies a catalog");
+                        catalog
+                            .save(
+                                key,
+                                shard.arena(),
+                                shard.grid().map(|g| g.as_ref()),
+                                ReleaseFormat::Binary,
+                            )
+                            .map(|_| ())
+                            .map_err(EngineError::Store)
+                    };
+                    let op = if command == "add" {
+                        ctx.store.add_with(key, handle, persist)
                     } else {
-                        ctx.store.swap(key, handle)
+                        ctx.store.swap_with(key, handle, persist)
                     };
                     op.map_err(|e| e.to_string())
                 });
@@ -715,20 +705,19 @@ pub(crate) fn control_reply(ctx: &ServeContext, line: &str) -> String {
         },
         "retire" => match fields.next() {
             Some(key) => {
-                let op = if ctx.journaled() {
-                    ctx.store.retire_with(key, |_| {
-                        let mut catalog = ctx.lock_catalog().expect("journaling implies a catalog");
-                        match catalog.remove(key) {
-                            // a key the catalog never held (nothing was
-                            // journaled for it) has nothing to retire
-                            // durably — recovery won't resurrect it
-                            Ok(()) | Err(StoreError::UnknownKey { .. }) => Ok(()),
-                            Err(e) => Err(EngineError::Store(e)),
-                        }
-                    })
-                } else {
-                    ctx.store.retire(key)
-                };
+                let op = ctx.store.retire_with(key, |_| {
+                    if !ctx.journaled() {
+                        return Ok(());
+                    }
+                    let mut catalog = ctx.lock_catalog().expect("journaling implies a catalog");
+                    match catalog.remove(key) {
+                        // a key the catalog never held (nothing was
+                        // journaled for it) has nothing to retire
+                        // durably — recovery won't resurrect it
+                        Ok(()) | Err(StoreError::UnknownKey { .. }) => Ok(()),
+                        Err(e) => Err(EngineError::Store(e)),
+                    }
+                });
                 match op {
                     Ok(report) => report_line(&report),
                     Err(e) => format!("err {e}"),

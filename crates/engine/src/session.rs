@@ -42,7 +42,7 @@ use std::time::Instant;
 
 use privtree_runtime::telemetry::{Stage, TickTrace};
 use privtree_spatial::query::RangeQuery;
-use privtree_store::frame::{parse_header, payload, FrameError};
+use privtree_store::frame::{parse_header, payload, FrameError, FrameHeader};
 
 use crate::serve::{
     control_reply, exposition_lines, parse_query, ServeContext, MAX_BATCH, MAX_LINE,
@@ -510,59 +510,73 @@ impl Session {
             if self.inbuf.len() - self.inpos < header.total_len() {
                 break; // bounded: len already validated against MAX_FRAME
             }
-            let frame = self.inbuf[self.inpos..self.inpos + header.total_len()].to_vec();
+            let start = self.inpos;
             self.inpos += header.total_len();
             ctx.metrics.wire_frames_in.inc();
-            let body = match payload(&header, &frame) {
-                Ok(body) => body,
-                Err(e) => {
-                    // the full frame was consumed, so the stream is still
-                    // aligned: a corrupted payload keeps the session alive
-                    self.push_err_frame(ctx, wire::ERR_CHECKSUM, &e.to_string(), false);
-                    continue;
-                }
-            };
-            match header.tag {
-                wire::TAG_QUERY => match wire::decode_query_payload(body, ctx.store.dims()) {
-                    Ok(queries) => self.jobs.push_back(Job::Queries {
-                        queries,
-                        shape: Shape::Wire {
-                            crc: header.has_crc(),
-                        },
-                        created: ctx.clocked().then(Instant::now),
-                    }),
-                    Err(e) => self.push_err_frame(ctx, wire::ERR_BAD_QUERY, &e, false),
-                },
-                wire::TAG_METRICS => {
-                    // the binary `metrics` verb: rendered at decode time
-                    // (like `HELO`) and queued as a reply, so it lands in
-                    // per-session order behind earlier frames
-                    let mut text = exposition_lines(ctx).join("\n");
-                    text.push('\n');
-                    let mut bytes = Vec::new();
-                    wire::encode_metrics_frame_into(&mut bytes, &text, header.has_crc());
-                    ctx.metrics.wire_frames_out.inc();
-                    self.jobs.push_back(Job::Reply(bytes));
-                }
-                wire::TAG_QUIT => {
-                    self.jobs.push_back(Job::Quit);
-                    self.inbuf.clear();
-                    self.inpos = 0;
-                    return;
-                }
-                other => {
-                    let msg = format!("unexpected frame {:?}", String::from_utf8_lossy(&other));
-                    self.push_err_frame(ctx, wire::ERR_BAD_FRAME, &msg, true);
-                    self.inbuf.clear();
-                    self.inpos = 0;
-                    return;
-                }
+            // decode the frame where it lies: the frame handler never
+            // touches `inbuf`, so it steps aside for the call instead of
+            // the frame being copied out
+            let inbuf = std::mem::take(&mut self.inbuf);
+            let closed = self.wire_frame(ctx, &header, &inbuf[start..self.inpos]);
+            self.inbuf = inbuf;
+            if closed {
+                self.inbuf.clear();
+                self.inpos = 0;
+                return;
             }
         }
         if self.eof && !self.eof_done {
             self.jobs.push_back(Job::Quit);
             self.eof_done = true;
         }
+    }
+
+    /// Queue the reply or job for one complete binary frame. Returns
+    /// whether the frame closes the session (`QUIT`, or a tag the
+    /// protocol does not define), after which nothing more is decoded.
+    fn wire_frame(&mut self, ctx: &ServeContext, header: &FrameHeader, frame: &[u8]) -> bool {
+        let body = match payload(header, frame) {
+            Ok(body) => body,
+            Err(e) => {
+                // the full frame was consumed, so the stream is still
+                // aligned: a corrupted payload keeps the session alive
+                self.push_err_frame(ctx, wire::ERR_CHECKSUM, &e.to_string(), false);
+                return false;
+            }
+        };
+        match header.tag {
+            wire::TAG_QUERY => match wire::decode_query_payload(body, ctx.store.dims()) {
+                Ok(queries) => self.jobs.push_back(Job::Queries {
+                    queries,
+                    shape: Shape::Wire {
+                        crc: header.has_crc(),
+                    },
+                    created: ctx.clocked().then(Instant::now),
+                }),
+                Err(e) => self.push_err_frame(ctx, wire::ERR_BAD_QUERY, &e, false),
+            },
+            wire::TAG_METRICS => {
+                // the binary `metrics` verb: rendered at decode time
+                // (like `HELO`) and queued as a reply, so it lands in
+                // per-session order behind earlier frames
+                let mut text = exposition_lines(ctx).join("\n");
+                text.push('\n');
+                let mut bytes = Vec::new();
+                wire::encode_metrics_frame_into(&mut bytes, &text, header.has_crc());
+                ctx.metrics.wire_frames_out.inc();
+                self.jobs.push_back(Job::Reply(bytes));
+            }
+            wire::TAG_QUIT => {
+                self.jobs.push_back(Job::Quit);
+                return true;
+            }
+            other => {
+                let msg = format!("unexpected frame {:?}", String::from_utf8_lossy(&other));
+                self.push_err_frame(ctx, wire::ERR_BAD_FRAME, &msg, true);
+                return true;
+            }
+        }
+        false
     }
 }
 

@@ -9,8 +9,8 @@
 //! releases — with and without per-shard grids — and compare every
 //! answer **bitwise** against `ShardedSynopsis::from_releases` of the
 //! survivors. The incremental-rebuild instrumentation ([`SwapReport`])
-//! is pinned as well: one swap builds one grid and one routing arena,
-//! and every untouched shard is shared by `Arc` pointer.
+//! is pinned as well: one swap builds one grid, and every untouched
+//! shard is shared by `Arc` pointer.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -205,9 +205,9 @@ proptest! {
     }
 }
 
-/// One swap in a gridded 4-shard store rebuilds exactly one grid and one
-/// `shards + 1`-node routing arena; every other shard — arena *and* grid —
-/// is adopted by pointer. This is the incremental-swap acceptance proof.
+/// One swap in a gridded 4-shard store rebuilds exactly one grid; every
+/// other shard — arena *and* grid — is adopted by pointer. This is the
+/// incremental-swap acceptance proof.
 #[test]
 fn swap_rebuilds_only_the_touched_shard() {
     let store =
@@ -220,9 +220,8 @@ fn swap_rebuilds_only_the_touched_shard() {
     let replacement = release(2, 7, 400);
     let report: SwapReport = store.swap("r2", replacement).unwrap();
 
-    // instrumentation: one grid, one small routing arena, three reuses
+    // instrumentation: one grid, three reuses
     assert_eq!(report.grids_built, 1, "only the swapped shard's grid");
-    assert_eq!(report.routing_nodes_rebuilt, REGIONS + 1);
     assert_eq!(report.shards_reused, REGIONS - 1);
     assert_eq!(store.stats().grids_built as usize, REGIONS + 1);
     let after = store.snapshot();

@@ -17,7 +17,7 @@ use privtree_spatial::geom::Rect;
 use privtree_spatial::quadtree::SplitConfig;
 use privtree_spatial::query::{RangeCountSynopsis, RangeQuery};
 use privtree_spatial::FrozenSynopsis;
-use privtree_store::frame::{encode_frame, parse_header, payload};
+use privtree_store::frame::{encode_frame, parse_header, payload, FRAME_HEADER_LEN};
 use rand::RngExt;
 
 fn sample_release(seed: u64, points: usize) -> FrozenSynopsis {
@@ -163,18 +163,25 @@ fn text_replies_are_identical_under_any_read_split() {
 
 /// A `0xB7` first byte negotiates `privtree-wire v1` over the blocking
 /// driver: `HELO`, then an `ANSV` frame whose answers are bit-identical
-/// to `Snapshot::answer`, then a clean close on `QUIT` — under every
-/// read split.
+/// to `Snapshot::answer`, an `ERRF` (`ERR_CHECKSUM`) for a frame whose
+/// payload no longer matches its CRC — the session stays aligned and
+/// alive — then a second `ANSV` for a frame sent without a CRC, and a
+/// clean close on `QUIT` — under every read split.
 #[test]
 fn wire_protocol_negotiates_over_serve_lines() {
     let ctx = test_context(1203);
     let snap = ctx.store.snapshot();
     let qs = workload(40, 1204);
+    let qs2 = workload(24, 1205);
+    let mut corrupt = wire::encode_query_frame(&qs2, 2, true);
+    corrupt[FRAME_HEADER_LEN + 9] ^= 0x10;
     let mut input = wire::PREAMBLE.to_vec();
     input.extend_from_slice(&wire::encode_query_frame(&qs, 2, true));
+    input.extend_from_slice(&corrupt);
+    input.extend_from_slice(&wire::encode_query_frame(&qs2, 2, false));
     input.extend_from_slice(&encode_frame(wire::TAG_QUIT, &[], false));
 
-    for k in [1, 3, 64, input.len()] {
+    for k in [1, 3, 7, 64, input.len()] {
         let out = serve_split(&ctx, &input, k);
         let mut frames = Vec::new();
         let mut rest = out.as_slice();
@@ -186,17 +193,32 @@ fn wire_protocol_negotiates_over_serve_lines() {
             frames.push((header.tag, payload(&header, frame).unwrap().to_vec()));
             rest = tail;
         }
-        assert_eq!(frames.len(), 2, "HELO then ANSV at {k}-byte reads");
-        assert_eq!(frames[0].0, wire::TAG_HELLO);
+        let tags: Vec<[u8; 4]> = frames.iter().map(|(tag, _)| *tag).collect();
+        assert_eq!(
+            tags,
+            [
+                wire::TAG_HELLO,
+                wire::TAG_ANSWERS,
+                wire::TAG_ERR,
+                wire::TAG_ANSWERS
+            ],
+            "at {k}-byte reads"
+        );
         assert_eq!(
             wire::decode_hello_payload(&frames[0].1).unwrap(),
             (wire::WIRE_VERSION, 2)
         );
-        assert_eq!(frames[1].0, wire::TAG_ANSWERS);
-        let answers = wire::decode_answer_payload(&frames[1].1).unwrap();
-        assert_eq!(answers.len(), qs.len());
-        for (q, a) in qs.iter().zip(&answers) {
-            assert_eq!(a.to_bits(), snap.answer(q).to_bits(), "at {k}-byte reads");
+        assert_eq!(
+            wire::decode_err_payload(&frames[2].1).0,
+            wire::ERR_CHECKSUM,
+            "at {k}-byte reads"
+        );
+        for (set, answers) in [(&qs, &frames[1].1), (&qs2, &frames[3].1)] {
+            let answers = wire::decode_answer_payload(answers).unwrap();
+            assert_eq!(answers.len(), set.len());
+            for (q, a) in set.iter().zip(&answers) {
+                assert_eq!(a.to_bits(), snap.answer(q).to_bits(), "at {k}-byte reads");
+            }
         }
     }
 }

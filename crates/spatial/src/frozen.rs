@@ -36,33 +36,27 @@ use crate::synopsis::SpatialSynopsis;
 
 thread_local! {
     /// A pool of reusable traversal stacks for single-query entry points.
-    /// A pool (rather than one fixed pair) makes [`with_query_scratch`]
-    /// reentrant: each call *takes* two stacks out of the `RefCell` and
-    /// returns them afterwards, so a nested call — e.g. an engine whose
+    /// A pool (rather than one fixed stack) makes [`with_query_scratch`]
+    /// reentrant: each call *takes* a stack out of the `RefCell` and
+    /// returns it afterwards, so a nested call — e.g. an engine whose
     /// `answer` consults another engine inside the closure — simply takes
-    /// two more instead of panicking on a double `borrow_mut`.
+    /// another instead of panicking on a double `borrow_mut`.
     static QUERY_SCRATCH: RefCell<Vec<Vec<u32>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Run `f` with a reusable pair of traversal stacks (one for the possibly
-/// sharded top arena, one for shard descents), drawn from the calling
+/// Run `f` with a reusable traversal stack drawn from the calling
 /// thread's scratch pool. Safe to nest: the `RefCell` is only borrowed
-/// while checking stacks in and out, never across `f`. If `f` panics the
-/// two checked-out stacks are dropped rather than returned — the pool
+/// while checking the stack in and out, never across `f`. If `f` panics
+/// the checked-out stack is dropped rather than returned — the pool
 /// stays coherent, it just re-allocates on the next call.
-pub(crate) fn with_query_scratch<R>(f: impl FnOnce(&mut Vec<u32>, &mut Vec<u32>) -> R) -> R {
-    let (mut top, mut shard) = QUERY_SCRATCH.with(|cell| {
-        let mut pool = cell.borrow_mut();
-        let top = pool.pop().unwrap_or_else(|| Vec::with_capacity(64));
-        let shard = pool.pop().unwrap_or_else(|| Vec::with_capacity(64));
-        (top, shard)
+pub(crate) fn with_query_scratch<R>(f: impl FnOnce(&mut Vec<u32>) -> R) -> R {
+    let mut stack = QUERY_SCRATCH.with(|cell| {
+        cell.borrow_mut()
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(64))
     });
-    let out = f(&mut top, &mut shard);
-    QUERY_SCRATCH.with(|cell| {
-        let mut pool = cell.borrow_mut();
-        pool.push(shard);
-        pool.push(top);
-    });
+    let out = f(&mut stack);
+    QUERY_SCRATCH.with(|cell| cell.borrow_mut().push(stack));
     out
 }
 
@@ -435,7 +429,7 @@ impl FrozenSynopsis {
                 });
             }
         }
-        Ok(Self::from_raw(
+        Ok(Self {
             dims,
             lo,
             hi,
@@ -443,36 +437,7 @@ impl FrozenSynopsis {
             child_count,
             counts,
             label,
-        ))
-    }
-
-    /// Assemble a frozen synopsis directly from its flat arrays (the
-    /// sharded re-layout builds sub-arenas this way).
-    pub(crate) fn from_raw(
-        dims: usize,
-        lo: impl Into<Column<f64>>,
-        hi: impl Into<Column<f64>>,
-        first_child: impl Into<Column<u32>>,
-        child_count: impl Into<Column<u32>>,
-        counts: impl Into<Column<f64>>,
-        label: &'static str,
-    ) -> Self {
-        let (lo, hi) = (lo.into(), hi.into());
-        let (first_child, child_count) = (first_child.into(), child_count.into());
-        let counts = counts.into();
-        debug_assert_eq!(lo.len(), counts.len() * dims);
-        debug_assert_eq!(hi.len(), counts.len() * dims);
-        debug_assert_eq!(first_child.len(), counts.len());
-        debug_assert_eq!(child_count.len(), counts.len());
-        Self {
-            dims,
-            lo,
-            hi,
-            first_child,
-            child_count,
-            counts,
-            label,
-        }
+        })
     }
 
     /// Reconstruct the pointer-walk synopsis (exact inverse of
@@ -501,21 +466,14 @@ impl FrozenSynopsis {
     }
 
     /// Case 1 vs case 2 vs cases 3/4 of the Section 2.2 traversal for
-    /// node `i` against the query box. This predicate (and
-    /// [`FrozenSynopsis::leaf_contribution`]) is the single copy of the
-    /// float-critical per-node logic: the frozen walk and the sharded
-    /// top walk both build on it, so their bit-identity contract cannot
-    /// drift apart.
-    #[inline]
-    pub(crate) fn classify(&self, i: usize, qlo: &[f64], qhi: &[f64]) -> Overlap {
-        dispatch_dims!(self.dims, D => self.classify_d::<D>(i, qlo, qhi))
-    }
-
-    /// [`FrozenSynopsis::classify`] monomorphized on the dimensionality
-    /// so the per-dimension compares unroll (this predicate runs once
-    /// per visited node — it is *the* hot instruction stream of every
-    /// read engine). Same compares in the same order as the dynamic
-    /// wrapper, so which instantiation runs never affects a result.
+    /// node `i` against the query box, monomorphized on the
+    /// dimensionality so the per-dimension compares unroll (this
+    /// predicate runs once per visited node — it is *the* hot
+    /// instruction stream of every read engine). This predicate (and
+    /// [`FrozenSynopsis::leaf_contribution_d`]) is the single copy of
+    /// the float-critical per-node logic: the frozen walk and the grid's
+    /// anchored walks both build on it, so their bit-identity contracts
+    /// cannot drift apart.
     #[inline]
     pub(crate) fn classify_d<const D: usize>(&self, i: usize, qlo: &[f64], qhi: &[f64]) -> Overlap {
         debug_assert_eq!(self.dims, D);
@@ -533,15 +491,8 @@ impl FrozenSynopsis {
     }
 
     /// Case 4: the uniform-assumption contribution of a partially
-    /// overlapped leaf, or `None` for a degenerate (zero-volume) box.
-    #[inline]
-    pub(crate) fn leaf_contribution(&self, i: usize, qlo: &[f64], qhi: &[f64]) -> Option<f64> {
-        dispatch_dims!(self.dims, D => self.leaf_contribution_d::<D>(i, qlo, qhi))
-    }
-
-    /// [`FrozenSynopsis::leaf_contribution`] monomorphized like
-    /// [`FrozenSynopsis::classify_d`]: identical multiplies in identical
-    /// order, just unrolled.
+    /// overlapped leaf, or `None` for a degenerate (zero-volume) box;
+    /// monomorphized like [`FrozenSynopsis::classify_d`].
     #[inline]
     pub(crate) fn leaf_contribution_d<const D: usize>(
         &self,
@@ -564,10 +515,9 @@ impl FrozenSynopsis {
     /// The Section 2.2 traversal over the flat arrays, with a
     /// caller-provided stack so batches allocate nothing per query, and a
     /// caller-provided starting accumulator. The carried accumulator is
-    /// what lets [`crate::sharded::ShardedSynopsis`] splice a shard
-    /// descent into its top-level walk and stay bit-identical to the
-    /// unsharded traversal: every contribution is applied with `+=` in
-    /// the same order either way.
+    /// what lets [`crate::sharded::ShardedSynopsis`] chain its shard
+    /// descents into one walk: every contribution is applied with `+=`
+    /// in the order the walk of the grafted tree applies it.
     pub(crate) fn accumulate(&self, q: &Rect, stack: &mut Vec<u32>, init: f64) -> f64 {
         debug_assert_eq!(q.dims(), self.dims);
         self.accumulate_span(0, q.lo(), q.hi(), stack, init)
@@ -646,7 +596,7 @@ impl FrozenSynopsis {
     pub fn answer_from(&self, start: usize, q: &RangeQuery) -> f64 {
         assert!(start < self.node_count(), "start node out of bounds");
         debug_assert_eq!(q.rect.dims(), self.dims);
-        with_query_scratch(|stack, _| {
+        with_query_scratch(|stack| {
             self.accumulate_span(start as u32, q.rect.lo(), q.rect.hi(), stack, 0.0)
         })
     }
@@ -675,7 +625,7 @@ impl FrozenSynopsis {
 
 impl RangeCountSynopsis for FrozenSynopsis {
     fn answer(&self, q: &RangeQuery) -> f64 {
-        with_query_scratch(|stack, _| self.accumulate(&q.rect, stack, 0.0))
+        with_query_scratch(|stack| self.accumulate(&q.rect, stack, 0.0))
     }
 
     fn answer_batch(&self, queries: &[RangeQuery]) -> Vec<f64> {
@@ -808,17 +758,15 @@ mod tests {
         let frozen = FrozenSynopsis::freeze(&sample_synopsis(13));
         let q = RangeQuery::new(Rect::new(&[0.1, 0.2], &[0.6, 0.7]));
         let direct = frozen.answer(&q);
-        let nested = with_query_scratch(|outer_top, outer_shard| {
-            outer_top.push(7); // sentinel state that must survive the nested call
-            outer_shard.push(9);
+        let nested = with_query_scratch(|outer| {
+            outer.push(7); // sentinel state that must survive the nested call
             let inner = frozen.answer(&q); // re-enters with_query_scratch
-            assert_eq!(outer_top.as_slice(), &[7]);
-            assert_eq!(outer_shard.as_slice(), &[9]);
+            assert_eq!(outer.as_slice(), &[7]);
             inner
         });
         assert_eq!(direct.to_bits(), nested.to_bits());
         // two levels deep for good measure
-        let deep = with_query_scratch(|_, _| with_query_scratch(|_, _| frozen.answer(&q)));
+        let deep = with_query_scratch(|_| with_query_scratch(|_| frozen.answer(&q)));
         assert_eq!(direct.to_bits(), deep.to_bits());
     }
 

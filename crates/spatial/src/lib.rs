@@ -28,12 +28,13 @@
 //!   O(2^(d−1)) lookups and walks its runs of internal-anchored cells
 //!   from their anchors; cells cut along two or more dimensions take
 //!   short cell-anchored traversals.
-//! * [`sharded`] — [`sharded::ShardedSynopsis`], multi-arena serving with
-//!   domain-based query routing: one frozen arena per epoch/region shard
-//!   (or per cut subtree of one release, answering bit-identically to the
-//!   unsharded arena), each shard descent grid-routed when its
-//!   [`sharded::ShardHandle`] carries a grid. It is the one gridded
-//!   engine; a single gridded release serves as a one-shard synopsis.
+//! * [`sharded`] — [`sharded::ShardedSynopsis`], multi-arena serving:
+//!   one frozen arena per epoch/region shard, descended in order with
+//!   one carried accumulator (bit-identical to the walk of the one tree
+//!   whose root's children are the shard roots), each shard descent
+//!   grid-routed when its [`sharded::ShardHandle`] carries a grid. It is
+//!   the one gridded engine; a single gridded release serves as a
+//!   one-shard synopsis.
 //! * [`serialize`] — the plain-text release format:
 //!   [`serialize::release_to_text`]/[`serialize::release_from_text`]
 //!   write and read an arena plus its optional cell grid.

@@ -1,56 +1,45 @@
 //! Sharded frozen serving: many arenas, one query surface.
 //!
 //! A production deployment rarely serves a single monolithic release.
-//! Releases arrive per **epoch** or per **region**, and even one huge
-//! release is easier to hold as bounded-size pieces. [`ShardedSynopsis`]
-//! keeps *one frozen arena per shard* plus a small **top arena** that
-//! routes queries by domain: the top is traversed like any frozen
-//! synopsis, and where it reaches a shard-backed leaf whose region
-//! overlaps the query, the matching shard arena is descended with the
-//! *carried accumulator*. Shards whose regions are disjoint from the
-//! query are never touched — that is the routing.
+//! Releases arrive per **epoch** or per **region**, over pairwise-disjoint
+//! regions. A [`ShardedSynopsis`] is the list of those releases, one
+//! frozen arena per shard, and answers a query by descending every shard
+//! in handle order with one *carried accumulator*. Each descent
+//! classifies its own root first, so a shard the query misses adds
+//! nothing and a shard the query covers adds its root count. The loop is
+//! therefore the Section 2.2 walk of the one decomposition whose root's
+//! children are the shard roots, in handle order (the *grafted tree*):
+//! `tests/serving.rs` property-tests that a one-shard synopsis answers
+//! bit for bit as its release, and a multi-shard one as its grafted tree.
+//! The one exception is a shard region of zero volume lying on an edge of
+//! the query: the shard's own walk finds it disjoint and adds nothing,
+//! even when the query covers the grafted root.
 //!
 //! Shards are held as [`ShardHandle`]s — reference-counted pairs of a
 //! frozen arena and an optional per-shard [`CellGrid`] — so an
 //! epoch-lifecycle layer (see the `privtree-engine` crate) can replace
-//! one shard and rebuild **only** the small routing arena: every
-//! untouched handle is reused by pointer, its grid included. Cloning a
-//! handle is two `Arc` bumps, never a copy of node arrays.
+//! one shard and reuse every untouched handle by pointer, its grid
+//! included. Cloning a handle is two `Arc` bumps, never a copy of node
+//! arrays.
 //!
-//! Three constructions:
-//!
-//! * [`ShardedSynopsis::from_frozen`] re-layouts one existing release,
-//!   cutting its tree at a chosen depth; every subtree below the cut
-//!   becomes its own arena. Because the carried accumulator preserves the
-//!   exact `+=` order of the unsharded DFS (a cut node's whole subtree is
-//!   consumed before the walk resumes above it), answers are
-//!   **bit-identical** to the original [`FrozenSynopsis`] — not merely
-//!   close — which `tests/serving.rs` property-tests.
-//! * [`ShardedSynopsis::from_releases`] assembles independent releases
-//!   over pairwise-disjoint regions (the epoch/region case) under a
-//!   synthetic root whose count is the sum of the shard root counts.
-//! * [`ShardedSynopsis::from_handles`] is the same assembly over
-//!   already-shared handles — the incremental-rebuild entry point: only
-//!   the routing arena (one synthetic root plus one leaf per shard) is
-//!   constructed; arenas and grids are adopted as-is.
-//!
-//! Construction failures ([`ShardError`]: empty shard set, mixed
-//! dimensionalities, overlapping regions) are reported as values, not
-//! panics.
+//! [`ShardedSynopsis::from_releases`] wraps independent releases;
+//! [`ShardedSynopsis::from_handles`] adopts already-shared handles, and
+//! is the construction the engine runs for every snapshot. Construction
+//! failures ([`ShardError`]: empty shard set, mixed dimensionalities,
+//! overlapping regions) are reported as values, not panics.
 //!
 //! Batches go through the same worker-pool chunking as
-//! [`FrozenSynopsis::answer_batch`], with a pair of per-chunk traversal
-//! stacks ([`ShardedSynopsis::answer_batch_with_pool`]).
+//! [`FrozenSynopsis::answer_batch`], with one traversal stack per chunk
+//! ([`ShardedSynopsis::answer_batch_with_pool`]).
 //!
 //! Shard descents can additionally be **grid-routed**: a handle that
 //! carries a [`crate::grid_route::CellGrid`] ([`ShardHandle::from_release`],
-//! [`ShardedSynopsis::with_shard_grids`]) resolves the heavy part of a
-//! query — the walk inside the shard the query lands on — through
-//! summed-area interior lookups, face-table lookups for the boundary
-//! shell, and anchored walks where a shell cell's anchor is internal or
-//! the cell is cut along two or more dimensions. This is the one gridded
-//! engine: a single release is served gridded as a one-shard synopsis.
-//! Grid-routed shard answers match the plain descent to float
+//! [`ShardedSynopsis::with_shard_grids`]) resolves the walk inside the
+//! shard through summed-area interior lookups, face-table lookups for the
+//! boundary shell, and anchored walks where a shell cell's anchor is
+//! internal or the cell is cut along two or more dimensions. This is the
+//! one gridded engine: a single release is served gridded as a one-shard
+//! synopsis. Grid-routed shard answers match the plain descent to float
 //! reassociation error (≤ 1e-9 relative; the bit-identity pin applies to
 //! the *ungridded* configuration).
 
@@ -58,13 +47,10 @@ use std::sync::Arc;
 
 use privtree_runtime::WorkerPool;
 
-use crate::frozen::{auto_batch, dispatch_batch, with_query_scratch, FrozenSynopsis, Overlap};
+use crate::frozen::{auto_batch, dispatch_batch, with_query_scratch, FrozenSynopsis};
 use crate::geom::Rect;
 use crate::grid_route::{CellGrid, GridRouteError};
 use crate::query::{RangeCountSynopsis, RangeQuery};
-
-/// Sentinel in `shard_ref` for top nodes not backed by a shard.
-const NO_SHARD: u32 = u32::MAX;
 
 /// Why a sharded synopsis could not be assembled.
 #[derive(Debug, Clone, PartialEq)]
@@ -195,115 +181,20 @@ impl From<FrozenSynopsis> for ShardHandle {
     }
 }
 
-/// A collection of frozen arenas served behind one routing arena.
+/// A list of frozen arenas over pairwise-disjoint regions, answered as
+/// one decomposition.
 #[derive(Debug, Clone)]
 pub struct ShardedSynopsis {
-    /// The routing arena: the release's nodes above the cut, with each
-    /// cut subtree replaced by a leaf that carries the subtree's root
-    /// count and a reference into `shards`.
-    top: FrozenSynopsis,
-    /// Per top node: index into `shards`, or [`NO_SHARD`].
-    shard_ref: Vec<u32>,
-    /// One handle (arena + optional grid) per cut subtree / per
-    /// independent release.
+    /// One handle (arena + optional grid) per independent release, in
+    /// the order the carried accumulator visits them.
     shards: Vec<ShardHandle>,
-    label: &'static str,
-}
-
-/// Extract the sub-arena reachable from `root`, stopping the descent at
-/// nodes whose depth equals `stop_depth` (those become leaves of the
-/// extracted arena). Returns the new arena's arrays plus, for each new
-/// node, its index in the source arena — in the new arena's order, which
-/// is a breadth-first re-layout (children blocks stay contiguous).
-fn extract_arena(
-    src: &FrozenSynopsis,
-    root: usize,
-    depth_of: &[u32],
-    stop_depth: Option<u32>,
-) -> (FrozenSynopsis, Vec<usize>) {
-    let d = src.dims();
-    let src_first = src.first_child();
-    let src_kids = src.child_count();
-    let mut old_ids: Vec<usize> = vec![root];
-    let mut first_child: Vec<u32> = Vec::new();
-    let mut child_count: Vec<u32> = Vec::new();
-    let mut cursor = 0usize;
-    while cursor < old_ids.len() {
-        let old = old_ids[cursor];
-        let kids = src_kids[old] as usize;
-        let stopped = stop_depth.is_some_and(|s| depth_of[old] >= s);
-        if kids > 0 && !stopped {
-            first_child.push(old_ids.len() as u32);
-            child_count.push(kids as u32);
-            let first = src_first[old] as usize;
-            old_ids.extend(first..first + kids);
-        } else {
-            first_child.push(0);
-            child_count.push(0);
-        }
-        cursor += 1;
-    }
-    let mut lo = Vec::with_capacity(old_ids.len() * d);
-    let mut hi = Vec::with_capacity(old_ids.len() * d);
-    let mut counts = Vec::with_capacity(old_ids.len());
-    for &old in &old_ids {
-        lo.extend_from_slice(src.node_lo(old));
-        hi.extend_from_slice(src.node_hi(old));
-        counts.push(src.counts()[old]);
-    }
-    let arena = FrozenSynopsis::from_raw(d, lo, hi, first_child, child_count, counts, "shard");
-    (arena, old_ids)
-}
-
-/// Depth of every node of a frozen arena (parents precede children, so a
-/// single forward pass suffices).
-fn depths(src: &FrozenSynopsis) -> Vec<u32> {
-    let mut depth = vec![0u32; src.node_count()];
-    let first = src.first_child();
-    let kids = src.child_count();
-    for i in 0..src.node_count() {
-        let k = kids[i] as usize;
-        for c in first[i] as usize..first[i] as usize + k {
-            depth[c] = depth[i] + 1;
-        }
-    }
-    depth
 }
 
 impl ShardedSynopsis {
-    /// Re-layout one release into a top arena plus one shard per subtree
-    /// rooted at depth `cut_depth` (subtrees that are single leaves stay
-    /// in the top). Answers are bit-identical to `frozen`'s.
-    ///
-    /// The `Result` is part of the uniform construction surface
-    /// ([`ShardError`]); a re-layout of a well-formed frozen arena
-    /// currently cannot fail, so every error variant is reserved for the
-    /// multi-release constructors.
-    pub fn from_frozen(frozen: &FrozenSynopsis, cut_depth: u32) -> Result<Self, ShardError> {
-        let depth_of = depths(frozen);
-        let (top, top_old_ids) = extract_arena(frozen, 0, &depth_of, Some(cut_depth));
-        let mut shard_ref = vec![NO_SHARD; top_old_ids.len()];
-        let mut shards = Vec::new();
-        for (new_id, &old) in top_old_ids.iter().enumerate() {
-            if depth_of[old] >= cut_depth && frozen.child_count()[old] > 0 {
-                shard_ref[new_id] = shards.len() as u32;
-                let (shard, _) = extract_arena(frozen, old, &depth_of, None);
-                shards.push(ShardHandle::new(shard));
-            }
-        }
-        Ok(Self {
-            top,
-            shard_ref,
-            shards,
-            label: "ShardedSynopsis",
-        })
-    }
-
-    /// Assemble independent releases over pairwise-disjoint regions under
-    /// a synthetic root covering their bounding box; the root's count is
-    /// the sum of the shard root counts, so a query covering everything
-    /// answers with that aggregate. Queries route to the shards whose
-    /// regions they overlap.
+    /// Assemble independent releases over pairwise-disjoint regions. A
+    /// query covering every region answers with the shard root counts
+    /// summed in order; only the shards whose regions a query overlaps
+    /// add to its answer.
     ///
     /// Fails with [`ShardError`] if `shards` is empty, dimensionalities
     /// differ, or two shard regions overlap.
@@ -312,21 +203,19 @@ impl ShardedSynopsis {
     }
 
     /// [`ShardedSynopsis::from_releases`] over already-shared
-    /// [`ShardHandle`]s: only the routing arena — one synthetic root plus
-    /// one shard-backed leaf per handle — is built here; arenas and any
-    /// attached grids are adopted by reference. This is what makes an
-    /// epoch swap cheap: replace one handle, re-run `from_handles`, and
-    /// the rebuilt state is `shards.len() + 1` routing nodes.
+    /// [`ShardHandle`]s: the handles are checked and adopted as-is, so
+    /// arenas and any attached grids are shared by reference. This is
+    /// what makes an epoch swap cheap: replace one handle and re-run
+    /// `from_handles`.
     ///
-    /// The synthetic root's count sums the shard root counts **in handle
-    /// order**, so callers that need bit-identity across rebuilds must
-    /// present handles in a canonical order (the engine layer sorts by
-    /// release key).
+    /// Shards are answered **in handle order**, so callers that need
+    /// bit-identity across rebuilds must present handles in a canonical
+    /// order (the engine layer sorts by release key).
     pub fn from_handles(shards: Vec<ShardHandle>) -> Result<Self, ShardError> {
-        if shards.is_empty() {
+        let Some(first) = shards.first() else {
             return Err(ShardError::Empty);
-        }
-        let d = shards[0].arena().dims();
+        };
+        let d = first.arena().dims();
         for s in &shards {
             if s.arena().dims() != d {
                 return Err(ShardError::MixedDims {
@@ -349,38 +238,7 @@ impl ShardedSynopsis {
                 }
             }
         }
-        let mut bbox_lo = roots[0].lo().to_vec();
-        let mut bbox_hi = roots[0].hi().to_vec();
-        for r in &roots[1..] {
-            for k in 0..d {
-                bbox_lo[k] = bbox_lo[k].min(r.lo()[k]);
-                bbox_hi[k] = bbox_hi[k].max(r.hi()[k]);
-            }
-        }
-        let n = shards.len();
-        let mut lo = bbox_lo.clone();
-        let mut hi = bbox_hi.clone();
-        let mut counts = vec![shards.iter().map(|s| s.arena().counts()[0]).sum::<f64>()];
-        let mut first_child = vec![1u32];
-        let mut child_count = vec![n as u32];
-        for (r, s) in roots.iter().zip(&shards) {
-            lo.extend_from_slice(r.lo());
-            hi.extend_from_slice(r.hi());
-            counts.push(s.arena().counts()[0]);
-            first_child.push(0);
-            child_count.push(0);
-        }
-        let top = FrozenSynopsis::from_raw(d, lo, hi, first_child, child_count, counts, "top");
-        let mut shard_ref = vec![NO_SHARD; n + 1];
-        for (i, r) in shard_ref[1..].iter_mut().enumerate() {
-            *r = i as u32;
-        }
-        Ok(Self {
-            top,
-            shard_ref,
-            shards,
-            label: "ShardedSynopsis",
-        })
+        Ok(Self { shards })
     }
 
     /// Attach a grid-routed accelerator to every shard arena that does
@@ -406,12 +264,6 @@ impl ShardedSynopsis {
             .collect()
     }
 
-    /// Override the display label.
-    pub fn with_label(mut self, label: &'static str) -> Self {
-        self.label = label;
-        self
-    }
-
     /// Number of shard arenas.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -422,87 +274,37 @@ impl ShardedSynopsis {
         &self.shards
     }
 
-    /// Nodes in the routing arena — the only nodes
-    /// [`ShardedSynopsis::from_handles`] actually constructs.
-    pub fn routing_node_count(&self) -> usize {
-        self.top.node_count()
-    }
-
-    /// Total nodes across the top and every shard.
+    /// Total nodes across every shard's release.
     pub fn node_count(&self) -> usize {
-        self.top.node_count()
-            + self
-                .shards
-                .iter()
-                .map(|s| s.arena().node_count())
-                .sum::<usize>()
+        self.shards.iter().map(|s| s.arena().node_count()).sum()
     }
 
     /// Dimensionality of the domain.
     pub fn dims(&self) -> usize {
-        self.top.dims()
+        self.shards[0].arena().dims()
     }
 
-    /// The Section 2.2 traversal over the top arena, descending into a
-    /// shard arena (with the carried accumulator) wherever a shard-backed
-    /// leaf partially overlaps the query. Mirrors
-    /// [`FrozenSynopsis::accumulate`] case for case, so a re-layout of a
-    /// single release answers bit-identically to the original.
-    fn accumulate(&self, q: &Rect, top_stack: &mut Vec<u32>, shard_stack: &mut Vec<u32>) -> f64 {
-        debug_assert_eq!(q.dims(), self.top.dims());
+    /// The Section 2.2 traversal of the grafted tree: every shard's own
+    /// descent in handle order — through the shard's cell grid when one
+    /// is attached — carrying one accumulator.
+    fn accumulate(&self, q: &Rect, stack: &mut Vec<u32>) -> f64 {
+        debug_assert_eq!(q.dims(), self.dims());
         let (qlo, qhi) = (q.lo(), q.hi());
-        let first = self.top.first_child();
-        let kids = self.top.child_count();
-        let counts = self.top.counts();
-        let mut acc = 0.0;
-        top_stack.clear();
-        top_stack.push(0);
-        while let Some(v) = top_stack.pop() {
-            let i = v as usize;
-            match self.top.classify(i, qlo, qhi) {
-                // case 1: disjoint — the query routes around this shard
-                Overlap::Disjoint => {}
-                // case 2: fully inside — the (shard root's) released count
-                Overlap::Contained => acc += counts[i],
-                Overlap::Partial => {
-                    if self.shard_ref[i] != NO_SHARD {
-                        // shard-backed leaf: descend the shard arena
-                        // exactly where the unsharded DFS would descend
-                        // the cut subtree, carrying the accumulator —
-                        // through the shard's cell grid when one is
-                        // attached
-                        let s = self.shard_ref[i] as usize;
-                        let handle = &self.shards[s];
-                        acc = match handle.grid() {
-                            Some(grid) => {
-                                grid.answer_span(handle.arena(), qlo, qhi, shard_stack, acc)
-                            }
-                            None => handle.arena().accumulate(q, shard_stack, acc),
-                        };
-                    } else if kids[i] > 0 {
-                        // case 3: internal — children in arena order
-                        // (pushed reversed so they pop in order)
-                        for c in (first[i]..first[i] + kids[i]).rev() {
-                            top_stack.push(c);
-                        }
-                    } else if let Some(c) = self.top.leaf_contribution(i, qlo, qhi) {
-                        // case 4: plain leaf — uniform assumption
-                        acc += c;
-                    }
-                }
-            }
-        }
-        acc
+        self.shards
+            .iter()
+            .fold(0.0, |acc, handle| match handle.grid() {
+                Some(grid) => grid.answer_span(handle.arena(), qlo, qhi, stack, acc),
+                None => handle.arena().accumulate(q, stack, acc),
+            })
     }
 
-    /// Answer a workload on the calling thread with one reused pair of
-    /// traversal stacks (the single-worker reference for the pooled path).
+    /// Answer a workload on the calling thread with one reused traversal
+    /// stack (the single-worker reference for the pooled path).
     pub fn answer_batch_sequential(&self, queries: &[RangeQuery]) -> Vec<f64> {
-        let mut top_stack = Vec::with_capacity(64);
-        let mut shard_stack = Vec::with_capacity(64);
+        let mut stack = Vec::with_capacity(64);
         queries
             .iter()
-            .map(|q| self.accumulate(&q.rect, &mut top_stack, &mut shard_stack))
+            .map(|q| self.accumulate(&q.rect, &mut stack))
             .collect()
     }
 
@@ -517,9 +319,7 @@ impl ShardedSynopsis {
 
 impl RangeCountSynopsis for ShardedSynopsis {
     fn answer(&self, q: &RangeQuery) -> f64 {
-        with_query_scratch(|top_stack, shard_stack| {
-            self.accumulate(&q.rect, top_stack, shard_stack)
-        })
+        with_query_scratch(|stack| self.accumulate(&q.rect, stack))
     }
 
     fn answer_batch(&self, queries: &[RangeQuery]) -> Vec<f64> {
@@ -527,7 +327,7 @@ impl RangeCountSynopsis for ShardedSynopsis {
     }
 
     fn label(&self) -> &'static str {
-        self.label
+        "ShardedSynopsis"
     }
 }
 
@@ -557,16 +357,37 @@ mod tests {
         ps
     }
 
-    fn sample_frozen(seed: u64) -> FrozenSynopsis {
+    fn release(points: &PointSet, region: Rect, seed: u64) -> FrozenSynopsis {
         privtree_synopsis(
-            &clustered(5000, seed),
-            Rect::unit(2),
+            points,
+            region,
             SplitConfig::full(2),
             Epsilon::new(1.0).unwrap(),
             &mut seeded(seed),
         )
         .unwrap()
         .freeze()
+    }
+
+    fn sample_frozen(seed: u64) -> FrozenSynopsis {
+        release(&clustered(5000, seed), Rect::unit(2), seed)
+    }
+
+    /// One release per vertical strip of the unit square, each over the
+    /// clustered points that fall in its strip.
+    fn strip_releases(strips: usize, seed: u64) -> Vec<FrozenSynopsis> {
+        let ps = clustered(5000, seed);
+        (0..strips)
+            .map(|s| {
+                let (x0, x1) = (s as f64 / strips as f64, (s + 1) as f64 / strips as f64);
+                let region = Rect::new(&[x0, 0.0], &[x1, 1.0]);
+                let mut mine = PointSet::new(2);
+                for p in ps.iter().filter(|p| region.contains_point(p)) {
+                    mine.push(p);
+                }
+                release(&mine, region, seed + s as u64)
+            })
+            .collect()
     }
 
     fn random_queries(n: usize, seed: u64) -> Vec<RangeQuery> {
@@ -585,38 +406,23 @@ mod tests {
     }
 
     #[test]
-    fn from_frozen_is_bit_identical_at_every_cut_depth() {
+    fn one_shard_is_bit_identical_to_its_release() {
         let frozen = sample_frozen(11);
-        let queries = random_queries(300, 12);
-        for cut_depth in 0..5 {
-            let sharded = ShardedSynopsis::from_frozen(&frozen, cut_depth).unwrap();
-            assert_eq!(
-                sharded.node_count() - sharded.shard_count(),
-                frozen.node_count(),
-                "shard roots are duplicated into the top, nothing else"
-            );
-            for q in &queries {
-                let a = frozen.answer(q);
-                let b = sharded.answer(q);
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "cut {cut_depth}: {a} vs {b} on {}",
-                    q.rect
-                );
-            }
+        let sharded = ShardedSynopsis::from_releases(vec![frozen.clone()]).unwrap();
+        assert_eq!(sharded.node_count(), frozen.node_count());
+        for q in &random_queries(300, 12) {
+            let (a, b) = (frozen.answer(q), sharded.answer(q));
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b} on {}", q.rect);
         }
     }
 
     #[test]
-    fn whole_domain_query_matches_root_count() {
-        let frozen = sample_frozen(3);
-        let sharded = ShardedSynopsis::from_frozen(&frozen, 2).unwrap();
+    fn whole_domain_query_sums_shard_roots_in_order() {
+        let strips = strip_releases(4, 3);
+        let sum = strips.iter().fold(0.0, |acc, s| acc + s.counts()[0]);
+        let sharded = ShardedSynopsis::from_releases(strips).unwrap();
         let whole = RangeQuery::new(Rect::unit(2));
-        assert_eq!(
-            sharded.answer(&whole).to_bits(),
-            frozen.answer(&whole).to_bits()
-        );
+        assert_eq!(sharded.answer(&whole).to_bits(), sum.to_bits());
     }
 
     #[test]
@@ -634,13 +440,35 @@ mod tests {
         );
         let sharded = ShardedSynopsis::from_releases(vec![left, right]).unwrap();
         assert_eq!(sharded.shard_count(), 2);
-        assert_eq!(sharded.routing_node_count(), 3);
+        assert_eq!(sharded.node_count(), 2);
         // a query inside the left region only sees the left shard
         let q = RangeQuery::new(Rect::new(&[0.0, 0.0], &[0.25, 1.0]));
         assert!((sharded.answer(&q) - 5.0).abs() < 1e-12);
         // the whole domain answers with the aggregate root count
         let whole = RangeQuery::new(Rect::unit(2));
         assert_eq!(sharded.answer(&whole), 40.0);
+    }
+
+    #[test]
+    fn zero_width_shards_on_the_query_edge_add_nothing() {
+        let leaf = |lo: &[f64], hi: &[f64], count: f64| {
+            FrozenSynopsis::from_tree(
+                &privtree_core::tree::Tree::with_root(Rect::new(lo, hi)),
+                &[count],
+                "leaf",
+            )
+        };
+        let sharded = ShardedSynopsis::from_releases(vec![
+            leaf(&[0.0, 0.0], &[0.5, 1.0], 10.0),
+            leaf(&[1.0, 0.0], &[1.0, 1.0], 7.0),
+            leaf(&[0.0, 0.0], &[0.0, 1.0], 3.0),
+        ])
+        .unwrap();
+        // both zero-width shards lie on an edge of the unit square, which
+        // their own walks find disjoint; a larger box contains them
+        assert_eq!(sharded.answer(&RangeQuery::new(Rect::unit(2))), 10.0);
+        let around = RangeQuery::new(Rect::new(&[-1.0, -1.0], &[2.0, 2.0]));
+        assert_eq!(sharded.answer(&around), 20.0);
     }
 
     #[test]
@@ -703,7 +531,6 @@ mod tests {
             .with_shard_grids()
             .unwrap();
         let b = ShardedSynopsis::from_handles(a.shards().to_vec()).unwrap();
-        assert_eq!(b.routing_node_count(), 3);
         for (ha, hb) in a.shards().iter().zip(b.shards()) {
             assert!(Arc::ptr_eq(ha.arena_arc(), hb.arena_arc()));
             assert!(Arc::ptr_eq(ha.grid().unwrap(), hb.grid().unwrap()));
@@ -714,13 +541,9 @@ mod tests {
 
     #[test]
     fn shard_grids_match_plain_sharding() {
-        let frozen = sample_frozen(31);
         let queries = random_queries(400, 32);
-        let plain = ShardedSynopsis::from_frozen(&frozen, 2).unwrap();
-        let gridded = ShardedSynopsis::from_frozen(&frozen, 2)
-            .unwrap()
-            .with_shard_grids()
-            .unwrap();
+        let plain = ShardedSynopsis::from_releases(strip_releases(4, 31)).unwrap();
+        let gridded = plain.clone().with_shard_grids().unwrap();
         assert_eq!(
             gridded.shard_grids().map(|g| g.len()),
             Some(plain.shard_count())
@@ -741,8 +564,7 @@ mod tests {
 
     #[test]
     fn batch_paths_agree_with_single_answers() {
-        let frozen = sample_frozen(21);
-        let sharded = ShardedSynopsis::from_frozen(&frozen, 2).unwrap();
+        let sharded = ShardedSynopsis::from_releases(strip_releases(4, 21)).unwrap();
         let queries = random_queries(700, 22);
         let sequential = sharded.answer_batch_sequential(&queries);
         for (q, s) in queries.iter().zip(&sequential) {

@@ -7,12 +7,12 @@
 //! ```
 //!
 //! The example builds two per-region PrivTree releases, serves them from
-//! an epoch store (snapshots are immutable; a swap rebuilds only the
-//! routing arena + the swapped shard's grid), persists every serving
-//! release into a `privtree-store` catalog (binary `privtree-bin v1`
-//! files behind a `catalog.toml` manifest, grids included), reopens the
-//! catalog cold and verifies the warm-started store answers the same
-//! bits, and finally prints the matching standalone-server commands:
+//! an epoch store (snapshots are immutable; a swap builds only the
+//! swapped shard's grid), persists every serving release into a
+//! `privtree-store` catalog (binary `privtree-bin v1` files behind a
+//! `catalog.toml` manifest, grids included), reopens the catalog cold
+//! and verifies the warm-started store answers the same bits, and
+//! finally prints the matching standalone-server commands:
 //!
 //! ```sh
 //! # build the server once
@@ -79,20 +79,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Epoch swap: a fresh west release replaces the old one. Only the
-    //    routing arena (shards + 1 = 3 nodes here) and the west shard's
-    //    grid are rebuilt — the report proves it — and the pre-swap
-    //    snapshot keeps answering epoch-0 bits for as long as we hold it.
+    //    west shard's grid is built and the east shard is reused — the
+    //    report proves it — and the pre-swap snapshot keeps answering
+    //    epoch-0 bits for as long as we hold it.
     let held = store.snapshot();
     let held_answer = held.answer(&q);
     let report = store.swap("west", region_release(&data, west, 1)?)?;
     println!(
-        "swapped west: v{}, rebuilt {} routing nodes + {} grid(s) \
-         ({} cells), reused {} shard(s)",
-        report.version,
-        report.routing_nodes_rebuilt,
-        report.grids_built,
-        report.grid_cells_built,
-        report.shards_reused
+        "swapped west: v{}, built {} grid(s) ({} cells), reused {} shard(s)",
+        report.version, report.grids_built, report.grid_cells_built, report.shards_reused
     );
     println!(
         "epoch 1 answer = {:.1}; retained epoch-0 snapshot still says {:.1}",

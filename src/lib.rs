@@ -31,8 +31,8 @@
 //! * [`engine`] — the epoch-aware serving layer: `ReleaseStore` holds
 //!   named releases (epoch/region key → frozen arena + optional cell
 //!   grid), publishes immutable `Snapshot`s readers load in two atomic
-//!   ops, and swaps/retires releases by rebuilding only the small
-//!   routing arena plus the touched shard's grid. The `privtree-serve`
+//!   ops, and swaps/retires releases by reusing every untouched shard
+//!   and building only the touched shard's grid. The `privtree-serve`
 //!   binary serves a store over stdin or TCP, warm-starts from an
 //!   on-disk catalog (`--catalog`), and persists releases back to it.
 //! * [`store`] — release persistence: the `privtree-bin v1` binary

@@ -261,7 +261,8 @@ fn inconsistent_counts_are_refused() {
 }
 
 /// Sharded serving with per-shard grids agrees with the plain sharded
-/// engine (and therefore with the unsharded arena) to ≤ 1e-9.
+/// engine over four strip releases (and therefore with the frozen walk
+/// of their grafted tree) to ≤ 1e-9.
 #[test]
 fn sharded_with_grids_matches_plain() {
     let mut rng = seeded(7);
@@ -276,12 +277,26 @@ fn sharded_with_grids_matches_plain() {
             ]);
         }
     }
-    let frozen = release(2, &ps, 8);
-    let plain = ShardedSynopsis::from_frozen(&frozen, 2).unwrap();
-    let gridded = ShardedSynopsis::from_frozen(&frozen, 2)
-        .unwrap()
-        .with_shard_grids()
-        .unwrap();
+    let strips = (0..4)
+        .map(|s| {
+            let region = Rect::new(&[s as f64 / 4.0, 0.0], &[(s + 1) as f64 / 4.0, 1.0]);
+            let mut mine = PointSet::new(2);
+            for p in ps.iter().filter(|p| region.contains_point(p)) {
+                mine.push(p);
+            }
+            privtree_synopsis(
+                &mine,
+                region,
+                SplitConfig::full(2),
+                Epsilon::new(1.0).unwrap(),
+                &mut seeded(8 + s),
+            )
+            .unwrap()
+            .freeze()
+        })
+        .collect();
+    let plain = ShardedSynopsis::from_releases(strips).unwrap();
+    let gridded = plain.clone().with_shard_grids().unwrap();
     let mut rng = seeded(9);
     for _ in 0..300 {
         let (a, b) = (rng.random::<f64>(), rng.random::<f64>());
